@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -259,7 +260,7 @@ def _cmd_converge(args, argv) -> int:
     code = EXIT_OK
     if args.probe:
         lam = _parse_lambda(args.lam)
-        verdict = probe(spec, args.probe, lam, tol=tol, cfg=cfg)
+        verdict = probe(spec, args.probe, lam, tol=tol, cfg=cfg, traj=traj)
         report["probe"] = verdict.to_obj()
         if verdict.verdict == "fail":
             code = EXIT_FAIL
@@ -274,9 +275,12 @@ def _parse_lambda(text: str):
         return parse_scalar(text)
     except ValueError:
         try:
-            return float(text)
+            value = float(text)
         except ValueError as exc:
             raise ValueError(f"cannot parse --lambda value {text!r}") from exc
+    if not math.isfinite(value):
+        raise ValueError(f"--lambda must be finite, got {text!r}")
+    return value
 
 
 def _cmd_gap(args, argv) -> int:

@@ -6,7 +6,8 @@ gaps between kernels and ranges of T_n and T together with the reduced
 minimum modulus, then classifies upper/lower convergence empirically: a
 tail of one-sided gaps below the convergence tolerance stands in for
 the adherent-point definition (licensed by the fact that one-sided gap
-decay follows from either convergence mode).
+decay follows from either convergence mode).  Rank, kernel, range and
+reduced minimum modulus of each sample come from one SVD.
 
 Probes evaluate the sequence statements about ascent/descent spectra.
 Dense finite-dimensional spectra are empty, so on dense instances the
@@ -14,7 +15,9 @@ probes check the operative chain conditions from the proofs instead:
 the intersection condition R(A^d) ∩ N(A) != 0 and the deficiency
 condition R(A) + N(A^d) != X, evaluated along the sequence and at the
 limit, plus the kernel/range convergence conclusions the proofs route
-through.  On tower sequences the spectra statements are tested
+through.  Of the stated hypotheses, closed range and attained distance
+hold in finite dimension; only the reduced-minimum-modulus bound is
+evaluated.  On tower sequences the spectra statements are tested
 literally over the window classification.  Every verdict records which
 hypotheses were evaluated and what the tail looked like.
 """
@@ -28,23 +31,28 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import Matrix, matrix_from_obj
+from .exact import Matrix, matrix_from_obj, matrix_to_obj
 from .gq import GQ, GaussianRational, format_scalar
 from .numeric import (
     DEFAULT_TOL,
     FloatSubspace,
     Tolerance,
+    array_from_obj,
+    array_to_obj,
     delta,
-    dist_to_subspace,
-    float_image,
-    float_kernel,
     float_rank,
-    gamma,
     matrix_to_array,
-    operator_norm,
+    svd_views,
 )
 from .theorems import TheoremVerdict
-from .tower import DEFAULT_CONFIG, OperatorSpec, TowerConfig, spec_from_obj, tower_verdict
+from .tower import (
+    DEFAULT_CONFIG,
+    OperatorSpec,
+    SumSpec,
+    TowerConfig,
+    spec_from_obj,
+    tower_verdict,
+)
 
 PROBE_IDS = (
     "lem1",
@@ -73,8 +81,8 @@ class Perturbation:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.exponent <= 0:
-            raise ValueError("exponent must be positive")
+        if not (math.isfinite(self.exponent) and self.exponent > 0):
+            raise ValueError("exponent must be a finite positive number")
         if (self.direction is None) == (self.seed is None):
             raise ValueError("exactly one of direction or seed is required")
 
@@ -98,12 +106,8 @@ class Perturbation:
         else:
             obj["rule"] = "scaled"
             if isinstance(self.direction, Matrix):
-                from .exact import matrix_to_obj
-
                 obj["matrix"] = matrix_to_obj(self.direction)
             elif isinstance(self.direction, np.ndarray):
-                from .numeric import array_to_obj
-
                 obj["matrix"] = array_to_obj(self.direction)
             else:
                 obj["operator"] = self.direction.to_obj()
@@ -132,13 +136,9 @@ class SequenceSpec:
         return isinstance(self.base, OperatorSpec)
 
     def to_obj(self) -> dict:
-        from .exact import matrix_to_obj
-
         if isinstance(self.base, Matrix):
             base = matrix_to_obj(self.base)
         elif isinstance(self.base, np.ndarray):
-            from .numeric import array_to_obj
-
             base = array_to_obj(self.base)
         else:
             base = self.base.to_obj()
@@ -161,7 +161,10 @@ def sequence_from_obj(obj: dict) -> SequenceSpec:
         base = spec_from_obj(base_obj)
     else:
         base = _matrix_any_field(base_obj)
-    exponent = float(pert.get("exponent", 1.0))
+    try:
+        exponent = float(pert.get("exponent", 1.0))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"perturbation exponent must be a number: {exc}") from exc
     rule = pert.get("rule", "scaled")
     if rule == "seeded-random-decaying":
         perturbation = Perturbation(exponent=exponent, seed=int(pert["seed"]))
@@ -182,8 +185,6 @@ def sequence_from_obj(obj: dict) -> SequenceSpec:
 
 
 def _matrix_any_field(obj: dict):
-    from .numeric import array_from_obj
-
     if obj.get("field", "gq") == "f64":
         return array_from_obj(obj)
     return matrix_from_obj(obj)
@@ -255,8 +256,8 @@ def _csv_float(v: float) -> str:
     return f"{v:.12g}"
 
 
-def _sample_matrices(spec: SequenceSpec, shift: complex = 0.0) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
-    """Float realizations of the limit and the samples, optionally shifted."""
+def _sample_matrices(spec: SequenceSpec) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
+    """Float realizations of the limit and the samples."""
     if spec.is_tower:
         raise ValueError("dense path requires a matrix base")
     base = (
@@ -268,13 +269,8 @@ def _sample_matrices(spec: SequenceSpec, shift: complex = 0.0) -> tuple[np.ndarr
     direction = spec.perturbation.direction_array(dim)
     if direction.shape != base.shape:
         raise ValueError("perturbation shape must match the base")
-    eye = np.eye(dim)
-    limit = base - shift * eye
-    out = []
-    for n in spec.samples():
-        t_n = base + float(n) ** (-spec.perturbation.exponent) * direction
-        out.append((n, t_n - shift * eye))
-    return limit, out
+    exponent = spec.perturbation.exponent
+    return base, [(n, base + float(n) ** (-exponent) * direction) for n in spec.samples()]
 
 
 def trajectory(spec: SequenceSpec, tol: Tolerance = DEFAULT_TOL) -> GapTrajectory:
@@ -295,19 +291,11 @@ def trajectory(spec: SequenceSpec, tol: Tolerance = DEFAULT_TOL) -> GapTrajector
 def _trajectory_from(
     limit: np.ndarray, realized: list[tuple[int, np.ndarray]], tol: Tolerance
 ) -> GapTrajectory:
-    k_lim = float_kernel(limit, tol)
-    r_lim = float_image(limit, tol)
-    base_rank = float_rank(limit, tol)
+    base_rank, k_lim, r_lim, _ = svd_views(limit, tol)
     samples = []
     ranks = []
-    previous_norm = None
     for n, t_n in realized:
-        drift = operator_norm(t_n - limit)
-        if previous_norm is not None and drift > previous_norm + 1e-12:
-            raise ValueError("perturbation norms must not increase along samples")
-        previous_norm = drift
-        k_n = float_kernel(t_n, tol)
-        r_n = float_image(t_n, tol)
+        rank, k_n, r_n, modulus = svd_views(t_n, tol)
         samples.append(
             TrajectorySample(
                 n=n,
@@ -315,10 +303,10 @@ def _trajectory_from(
                 dkl=delta(k_lim, k_n),
                 dru=delta(r_n, r_lim),
                 drl=delta(r_lim, r_n),
-                gamma=gamma(t_n, tol),
+                gamma=modulus,
             )
         )
-        ranks.append(float_rank(t_n, tol))
+        ranks.append(rank)
     return GapTrajectory(tuple(samples), base_rank, tuple(ranks))
 
 
@@ -372,23 +360,17 @@ def _subspace_sum_dim(a: FloatSubspace, b: FloatSubspace, tol: Tolerance) -> int
     return float_rank(stacked, tol)
 
 
-def intersection_nontrivial(a: np.ndarray, tol: Tolerance) -> bool:
-    """R(A^d) ∩ N(A) != {0} with d the ambient dimension."""
-    d = a.shape[0]
-    power = np.linalg.matrix_power(a, d)
-    r_d = float_image(power, tol)
-    n_1 = float_kernel(a, tol)
-    meet_dim = r_d.dim + n_1.dim - _subspace_sum_dim(r_d, n_1, tol)
-    return meet_dim > 0
+def chain_conditions(a: np.ndarray, tol: Tolerance) -> tuple[bool, bool]:
+    """(R(A^d) ∩ N(A) != {0}, R(A) + N(A^d) != X) with d the ambient dimension.
 
-
-def sum_deficient(a: np.ndarray, tol: Tolerance) -> bool:
-    """R(A) + N(A^d) != X with d the ambient dimension."""
+    The intersection condition drives ascent, the deficiency condition
+    descent.  A and A^d are factored once each.
+    """
     d = a.shape[0]
-    power = np.linalg.matrix_power(a, d)
-    r_1 = float_image(a, tol)
-    n_d = float_kernel(power, tol)
-    return _subspace_sum_dim(r_1, n_d, tol) < d
+    _, n_1, r_1, _ = svd_views(a, tol)
+    _, n_d, r_d, _ = svd_views(np.linalg.matrix_power(a, d), tol)
+    meets = r_d.dim + n_1.dim - _subspace_sum_dim(r_d, n_1, tol) > 0
+    return meets, _subspace_sum_dim(r_1, n_d, tol) < d
 
 
 # ---------------------------------------------------------------------------
@@ -435,37 +417,13 @@ def _gamma_hypothesis(value: float, tol: Tolerance) -> str:
     return "ambiguous"
 
 
-def _check_dist_reached(limit: np.ndarray, realized, tol: Tolerance) -> bool:
-    """Distance from kernel vectors of the limit is attained at each sample.
-
-    Orthogonal projection attains the infimum on every closed subspace
-    of a finite-dimensional space; the check recomputes the projection
-    residual against the reported distance to confirm attainment.
-    """
-    k_lim = float_kernel(limit, tol)
-    if k_lim.dim == 0:
-        return True
-    for _, t_n in realized[-tol.tail_window :]:
-        k_n = float_kernel(t_n, tol)
-        for idx in range(k_lim.dim):
-            x = k_lim.ortho_basis[:, idx]
-            dist = dist_to_subspace(x, k_n)
-            if k_n.dim:
-                q = k_n.ortho_basis
-                attained = float(np.linalg.norm(x - q @ (q.conj().T @ x)))
-            else:
-                attained = float(np.linalg.norm(x))
-            if abs(attained - dist) > 1e-12:
-                return False
-    return True
-
-
 def probe(
     spec: SequenceSpec,
     proposition: str,
     lam,
     tol: Tolerance = DEFAULT_TOL,
     cfg: TowerConfig = DEFAULT_CONFIG,
+    traj: GapTrajectory | None = None,
 ) -> TheoremVerdict:
     """Check one convergence statement on one sequence at one point.
 
@@ -474,32 +432,41 @@ def probe(
     tower instances are checked literally against window divergence.
     A conclusion that fails while its evaluated hypotheses hold yields
     fail with the counterexample trajectory in the witness.
+
+    traj, if given, must be trajectory(spec, tol); dense probes reuse it
+    instead of recomputing it.  Tower probes do not read it.
     """
     if proposition not in PROBE_IDS:
         raise ValueError(f"unknown proposition id {proposition!r}")
     if spec.is_tower:
         return _probe_tower(spec, proposition, lam, cfg)
-    return _probe_dense(spec, proposition, lam, tol)
+    return _probe_dense(spec, proposition, lam, tol, traj)
 
 
-def _probe_dense(spec, proposition, lam, tol: Tolerance) -> TheoremVerdict:
+def _probe_dense(spec, proposition, lam, tol: Tolerance, traj) -> TheoremVerdict:
     lam_gq = lam if isinstance(lam, GaussianRational) else None
     shift = lam_gq.to_complex() if lam_gq is not None else complex(lam)
-    limit, realized = _sample_matrices(spec, shift)
-    # the hypotheses are stated for the unshifted sequence; the proofs
-    # apply the lemmas to the shifted one, so both views are recorded
-    limit0, unshifted = _sample_matrices(spec)
-    traj = _trajectory_from(limit, realized, tol)
+    # one realization serves both views: the hypotheses are stated for
+    # the unshifted sequence, the proofs apply the lemmas to the shifted
+    # one, and at lambda = 0 the two coincide
+    limit, realized = _sample_matrices(spec)
+    if traj is None:
+        traj = _trajectory_from(limit, realized, tol)
     if len(traj.samples) < tol.tail_window:
         raise ValueError("sequence too short for the configured tail window")
+    shifted = traj
+    if shift:
+        eye = np.eye(limit.shape[0])
+        limit = limit - shift * eye
+        realized = [(n, t_n - shift * eye) for n, t_n in realized]
+        shifted = _trajectory_from(limit, realized, tol)
 
-    gamma_stated = max(
-        gamma(t_n, tol) for _, t_n in unshifted[-tol.tail_window :]
-    )
-    gamma_shifted = limsup_gamma(traj, tol)
+    gamma_stated = limsup_gamma(traj, tol)
     hyp_flags = {
-        "closed_range": "met",  # every subspace of a finite-dimensional space is closed
-        "dist_reached": "met" if _check_dist_reached(limit0, unshifted, tol) else "unmet",
+        # in finite dimension every subspace is closed, and orthogonal
+        # projection attains the distance to it
+        "closed_range": "met",
+        "dist_reached": "met",
         "gamma": _gamma_hypothesis(gamma_stated, tol),
     }
 
@@ -507,28 +474,28 @@ def _probe_dense(spec, proposition, lam, tol: Tolerance) -> TheoremVerdict:
     for sub in _SUB_PROBES:
         side, obj = _SUB_SIDE_OBJECT[sub]
         sub_hyps_met = all(hyp_flags[h] == "met" for h in _STATED_HYPS[sub])
-        classification = classify_convergence(traj, side, obj, tol)
+        classification = classify_convergence(shifted, side, obj, tol)
         sub_results[sub] = {
             "hypotheses_met": sub_hyps_met,
             "classification": classification,
-            "tail": traj.tail(_COLUMNS[(side, obj)], tol.tail_window),
+            "tail": shifted.tail(_COLUMNS[(side, obj)], tol.tail_window),
         }
 
-    asc_limit = intersection_nontrivial(limit, tol)
-    asc_tail = [intersection_nontrivial(t_n, tol) for _, t_n in realized[-tol.tail_window :]]
-    dsc_limit = sum_deficient(limit, tol)
-    dsc_tail = [sum_deficient(t_n, tol) for _, t_n in realized[-tol.tail_window :]]
+    asc_limit, dsc_limit = chain_conditions(limit, tol)
+    tail_conditions = [chain_conditions(t_n, tol) for _, t_n in realized[-tol.tail_window :]]
+    asc_tail = [asc for asc, _ in tail_conditions]
+    dsc_tail = [dsc for _, dsc in tail_conditions]
 
     witness: dict = {
         "mode": "dense-machinery",
         "lambda": format_scalar(lam_gq) if lam_gq is not None else repr(shift),
         "hypotheses": hyp_flags,
         "limsup_gamma": gamma_stated,
-        "limsup_gamma_shifted": gamma_shifted,
+        "limsup_gamma_shifted": limsup_gamma(shifted, tol),
         "sub_lemmas": sub_results,
         "intersection_condition": {"limit": asc_limit, "tail": asc_tail},
         "deficiency_condition": {"limit": dsc_limit, "tail": dsc_tail},
-        "rank_jumps": list(traj.rank_jumps),
+        "rank_jumps": list(shifted.rank_jumps),
     }
     instance = {
         "proposition": proposition,
@@ -612,8 +579,6 @@ def _tower_sample_matrices(spec: SequenceSpec, lam: GaussianRational, cfg: Tower
 
 
 def _tower_perturbed(spec: SequenceSpec, n: int) -> OperatorSpec:
-    from .tower import SumSpec
-
     pert = spec.perturbation
     if not isinstance(pert.direction, OperatorSpec):
         raise ValueError("tower sequences need an operator-spec perturbation")

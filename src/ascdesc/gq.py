@@ -165,6 +165,8 @@ def _parse_rat(text: str) -> Fraction:
         num, _, den = text.partition("/")
         if den.startswith(("+", "-")):
             raise ValueError(f"denominator must be a positive integer: {text!r}")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator: {text!r}")
         value = Fraction(int(num), int(den))
     else:
         value = Fraction(int(text))

@@ -106,7 +106,13 @@ def array_from_obj(obj: dict) -> np.ndarray:
         raise ValueError(f"expected field 'f64', got {field!r}")
     if len(raw) != rows or any(len(r) != cols for r in raw):
         raise ValueError("entry grid does not match rows x cols")
-    return np.array([[float(v) for v in row] for row in raw], dtype=np.float64)
+    try:
+        a = np.array([[float(v) for v in row] for row in raw], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"f64 entries must be numbers: {exc}") from exc
+    if not np.isfinite(a).all():
+        raise ValueError("f64 entries must be finite")
+    return a
 
 
 def array_to_obj(a: np.ndarray) -> dict:
@@ -151,20 +157,30 @@ def float_rank(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
     return _rank_from_singulars(s, tol)
 
 
+def svd_views(
+    a: np.ndarray, tol: Tolerance = DEFAULT_TOL
+) -> tuple[int, FloatSubspace, FloatSubspace, float]:
+    """Rank, kernel, image and reduced minimum modulus from one SVD.
+
+    The kernel and image come back as orthonormal bases; gamma is the
+    smallest singular value above the rank cut (infinity for rank 0).
+    """
+    a = np.asarray(a)
+    u, s, vh = np.linalg.svd(a)
+    r = _rank_from_singulars(s, tol)
+    modulus = float(s[r - 1]) if r else math.inf
+    kernel = FloatSubspace(a.shape[1], vh[r:].conj().T)
+    return r, kernel, FloatSubspace(a.shape[0], u[:, :r]), modulus
+
+
 def float_kernel(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> FloatSubspace:
     """Null space within the rank tolerance, as an orthonormal basis."""
-    a = np.asarray(a)
-    _, s, vh = np.linalg.svd(a)
-    r = _rank_from_singulars(s, tol)
-    return FloatSubspace(a.shape[1], vh[r:].conj().T)
+    return svd_views(a, tol)[1]
 
 
 def float_image(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> FloatSubspace:
     """Column space within the rank tolerance."""
-    a = np.asarray(a)
-    u, s, _ = np.linalg.svd(a)
-    r = _rank_from_singulars(s, tol)
-    return FloatSubspace(a.shape[0], u[:, :r])
+    return svd_views(a, tol)[2]
 
 
 def gamma(a: np.ndarray | Matrix, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -219,10 +235,3 @@ def dist_to_subspace(x: np.ndarray, y: FloatSubspace) -> float:
         return float(np.linalg.norm(v))
     q = y.ortho_basis
     return float(np.linalg.norm(v - q @ (q.conj().T @ v)))
-
-
-def operator_norm(a: np.ndarray) -> float:
-    a = np.asarray(a)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])

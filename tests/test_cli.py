@@ -203,6 +203,39 @@ def test_gap_float_subspace_files(tmp_path):
     assert report["gap"] == pytest.approx(0.7071067811865476, abs=1e-9)
 
 
+def assert_one_error_line(result, cause):
+    assert result.returncode == 2, result.stderr
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+    assert cause in lines[0]
+
+
+def test_analyze_zero_denominator_exits_2(tmp_path):
+    path = write(tmp_path, "m.json", {"rows": 1, "cols": 1, "field": "gq", "entries": [["1/0"]]})
+    assert_one_error_line(run_cli("analyze", path), "denominator")
+
+
+@pytest.mark.parametrize("exponent", ["inf", "nan", None, [1]])
+def test_converge_rejects_bad_exponent(tmp_path, exponent):
+    seq = json.loads(json.dumps(RESOLVENT_SEQ))
+    seq["perturbation"]["exponent"] = exponent
+    path = write(tmp_path, "seq.json", seq)
+    assert_one_error_line(run_cli("converge", path), "exponent")
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_converge_rejects_non_finite_lambda(tmp_path, lam):
+    path = write(tmp_path, "seq.json", RESOLVENT_SEQ)
+    assert_one_error_line(run_cli("converge", path, "--probe", "T1", "--lambda", lam), "--lambda")
+
+
+@pytest.mark.parametrize("entry", [float("nan"), "inf", None])
+def test_gap_rejects_non_finite_entries(tmp_path, entry):
+    y = write(tmp_path, "y.json", {"rows": 1, "cols": 2, "field": "f64", "entries": [[entry, 0.0]]})
+    z = write(tmp_path, "z.json", {"rows": 1, "cols": 2, "field": "f64", "entries": [[1.0, 1.0]]})
+    assert_one_error_line(run_cli("gap", y, z), "f64 entries")
+
+
 def test_missing_file_exits_2():
     result = run_cli("analyze", "/nonexistent/matrix.json")
     assert result.returncode == 2 and "error:" in result.stderr

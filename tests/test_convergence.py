@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from ascdesc.convergence import (
@@ -129,6 +131,20 @@ def test_probe_rng_upper_gated_by_gamma():
     assert verdict.verdict == "inconclusive"
 
 
+@pytest.mark.parametrize("proposition", ["T1", "ker_lower", "lem1"])
+@pytest.mark.parametrize("lam", [GQ(0), GQ(Fraction(1, 2))])
+def test_probe_reuses_given_trajectory(proposition, lam):
+    given = probe(RESOLVENT, proposition, lam, traj=trajectory(RESOLVENT))
+    assert given.to_obj() == probe(RESOLVENT, proposition, lam).to_obj()
+
+
+def test_probe_shifts_limit_and_samples():
+    # J2 + I/n - I and J2 - I are invertible, so both kernels are zero;
+    # shifting only one side would leave a kernel gap of 1
+    assert probe(RESOLVENT, "ker_lower", GQ(1)).verdict == "pass"
+    assert probe(RESOLVENT, "ker_lower", GQ(0)).verdict == "fail"
+
+
 def test_probe_lem2_vacuous_pass():
     verdict = probe(SCALING, "lem2", GQ(0))
     assert verdict.verdict == "pass"
@@ -169,6 +185,9 @@ def test_sequence_spec_validation():
         SequenceSpec(J2, Perturbation(exponent=1.0, direction=I2), (0, 20, 10))
     with pytest.raises(ValueError):
         Perturbation(exponent=1.0)
+    for exponent in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            Perturbation(exponent=exponent, direction=I2)
 
 
 def test_sequence_json_round_trip():

@@ -33,7 +33,7 @@ def test_parse_scalar(text, re, im):
     assert v.re == Fraction(re) and v.im == Fraction(im)
 
 
-@pytest.mark.parametrize("bad", ["", "i2", "1//2", "3/-4", "1+2", "x"])
+@pytest.mark.parametrize("bad", ["", "i2", "1//2", "3/-4", "1+2", "x", "1/0"])
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         parse_scalar(bad)
