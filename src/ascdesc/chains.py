@@ -3,9 +3,9 @@
 The ascent of a square matrix T is the first k with N(T^k) = N(T^k+1);
 the descent is the first k with R(T^k) = R(T^k+1).  Both chains are
 monotone, so dimension comparisons decide subspace equality, and both
-stabilize no later than the ambient dimension.  The two chains are
-computed through independent eliminations (kernel of the power versus
-column space of the power) and never assume they stabilize together.
+stabilize no later than the ambient dimension.  In dimension d, rank
+nullity gives dim N(T^k) = d - rank(T^k), so both chains are read from
+rank(T^k) alone, one elimination per power, and asc = dsc.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .exact import (
     image_basis,
     kernel_basis,
     power_chain,
+    rref,
     solve_exact,
     subspace_intersection,
     subspace_sum,
@@ -55,32 +56,29 @@ class ChainReport:
 
 
 def chain_report(t: Matrix) -> ChainReport:
-    """Kernel and range chains of T up to stabilization."""
+    """Kernel and range chains of T up to stabilization.
+
+    The rows of ``image`` span the row space of T^(k+1), whose dimension
+    is rank(T^(k+1)); multiplying its reduced basis by T spans the next
+    one.  So each power costs one elimination of a rank(T^k) x d matrix.
+    """
     if not t.is_square:
         raise ValueError("chain_report requires a square matrix")
     d = t.rows
-    kernel_dims: list[int] = []
-    range_dims: list[int] = []
-    asc = dsc = None
-    k = 0
-    power = Matrix.identity(d)
-    while True:
-        kernel_dims.append(cached_kernel(power).dim)
-        range_dims.append(cached_image(power).dim)
-        if k > 0:
-            if asc is None and kernel_dims[k] == kernel_dims[k - 1]:
-                asc = k - 1
-            if dsc is None and range_dims[k] == range_dims[k - 1]:
-                dsc = k - 1
-            if asc is not None and dsc is not None:
-                break
-        if k > d:
-            raise RuntimeError("chain failed to stabilize by the ambient dimension")
-        power = power @ t
-        k += 1
-    alpha = kernel_dims[1] if len(kernel_dims) > 1 else 0
-    beta = d - range_dims[1] if len(range_dims) > 1 else 0
-    return ChainReport(tuple(kernel_dims), tuple(range_dims), asc, dsc, alpha, beta)
+    range_dims = [d]
+    image = t
+    for _ in range(d + 1):
+        reduced, pivots = rref(image)
+        r = len(pivots)
+        range_dims.append(r)
+        if r == range_dims[-2]:
+            break
+        image = Matrix(r, d, reduced.entries[: r * d]) @ t
+    else:
+        raise RuntimeError("chain failed to stabilize by the ambient dimension")
+    kernel_dims = tuple(d - dim for dim in range_dims)
+    asc = len(range_dims) - 2
+    return ChainReport(kernel_dims, tuple(range_dims), asc, asc, kernel_dims[1], d - range_dims[1])
 
 
 @dataclass(frozen=True)

@@ -156,6 +156,9 @@ def sequence_from_obj(obj: dict) -> SequenceSpec:
         n_range = tuple(int(v) for v in obj["n_range"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed sequence spec: {exc}") from exc
+    for key, value in (("base", base_obj), ("perturbation", pert)):
+        if not isinstance(value, dict):
+            raise ValueError(f"malformed sequence spec: {key} must be a JSON object")
     base: Matrix | OperatorSpec | np.ndarray
     if "variant" in base_obj:
         base = spec_from_obj(base_obj)
@@ -185,6 +188,8 @@ def sequence_from_obj(obj: dict) -> SequenceSpec:
 
 
 def _matrix_any_field(obj: dict):
+    if not isinstance(obj, dict):
+        raise ValueError(f"matrix must be a JSON object, got {obj!r}")
     if obj.get("field", "gq") == "f64":
         return array_from_obj(obj)
     return matrix_from_obj(obj)

@@ -280,7 +280,8 @@ def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         m[rank], m[piv] = m[piv], m[rank]
         pv = m[rank][col]
         if pv != _ONE:
-            m[rank] = [v / pv for v in m[rank]]
+            inv = _ONE / pv
+            m[rank] = [v * inv if v else v for v in m[rank]]
         prow = m[rank]
         for r in range(a.rows):
             if r != rank:
@@ -315,6 +316,14 @@ class Subspace:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
 
+    @classmethod
+    def _canonical(cls, ambient_dim: int, basis: Matrix) -> "Subspace":
+        """Wrap a basis that is reduced row-echelon by construction, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "basis", basis)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
@@ -330,15 +339,15 @@ class Subspace:
             raise ValueError("spanning rows must have the ambient dimension")
         reduced, pivots = rref(span)
         basis = Matrix(len(pivots), ambient_dim, reduced.entries[: len(pivots) * ambient_dim])
-        return cls(ambient_dim, basis)
+        return cls._canonical(ambient_dim, basis)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.zeros(0, ambient_dim))
+        return cls._canonical(ambient_dim, Matrix.zeros(0, ambient_dim))
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.identity(ambient_dim))
+        return cls._canonical(ambient_dim, Matrix.identity(ambient_dim))
 
     @property
     def dim(self) -> int:
@@ -554,10 +563,18 @@ def matrix_to_obj(a: Matrix) -> dict:
     }
 
 
+def json_dimension(obj: dict, key: str) -> int:
+    """obj[key] as a dimension; only a JSON integer counts, not true or 2.5."""
+    value = obj[key]
+    if type(value) is not int:  # bool is an int subclass
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def matrix_from_obj(obj: dict) -> Matrix:
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
+        rows = json_dimension(obj, "rows")
+        cols = json_dimension(obj, "cols")
         field = obj.get("field", "gq")
         raw = obj["entries"]
     except (KeyError, TypeError, ValueError) as exc:

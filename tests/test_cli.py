@@ -223,6 +223,30 @@ def test_converge_rejects_bad_exponent(tmp_path, exponent):
     assert_one_error_line(run_cli("converge", path), "exponent")
 
 
+@pytest.mark.parametrize(
+    "keys", [("perturbation",), ("base",), ("perturbation", "matrix")],
+    ids=["perturbation", "base", "perturbation.matrix"],
+)
+def test_converge_rejects_non_object_parts(tmp_path, keys):
+    seq = json.loads(json.dumps(RESOLVENT_SEQ))
+    owner = seq
+    for key in keys[:-1]:
+        owner = owner[key]
+    owner[keys[-1]] = 5
+    path = write(tmp_path, "seq.json", seq)
+    assert_one_error_line(run_cli("converge", path), f"{keys[-1]} must be a JSON object")
+
+
+@pytest.mark.parametrize("dim", [True, 2.5])
+@pytest.mark.parametrize("key", ["rows", "cols"])
+def test_dimensions_must_be_integers(tmp_path, key, dim):
+    m = write(tmp_path, "m.json", dict(JORDAN3, **{key: dim}))
+    assert_one_error_line(run_cli("analyze", m), f"{key} must be an integer")
+    f64 = {"rows": 1, "cols": 2, "field": "f64", "entries": [[1.0, 0.0]], key: dim}
+    y = write(tmp_path, "y.json", f64)
+    assert_one_error_line(run_cli("gap", y, y), f"{key} must be an integer")
+
+
 @pytest.mark.parametrize("lam", ["nan", "inf"])
 def test_converge_rejects_non_finite_lambda(tmp_path, lam):
     path = write(tmp_path, "seq.json", RESOLVENT_SEQ)

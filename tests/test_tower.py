@@ -21,6 +21,8 @@ from ascdesc.tower import (
     tower_verdict,
 )
 
+from oracles import brute_chain
+
 J2 = Matrix.from_rows([[0, 1], [0, 0]])
 J3 = Matrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
 
@@ -78,6 +80,48 @@ def test_backward_shift_kernel_chain_closed_form():
     for n in CFG.window():
         rep = chain_report(realize(backward_shift(), n))
         assert rep.kernel_dims == tuple(range(n + 1)) + (n,)
+
+
+LAM = GQ(2, -1)  # norm 5, like the benchmark's tower candidates
+WEIGHTED = BandedSpec.from_dict(
+    {1: EventuallyPeriodic(
+        pre=(parse_scalar("3/2"),),
+        period=tuple(parse_scalar(w) for w in ("2/3", "4/5", "9/7")),
+    )}
+)
+SHIFT_PLUS_RANK_ONE = SumSpec(
+    (backward_shift(), FiniteRankSpec((((GQ(1), GQ(-2, 1), GQ(2)), (GQ(0, 1), GQ(1), GQ(-1))),)))
+)
+JORDAN_PLUS_FORWARD = DirectSumSpec(
+    (DenseSpec(Matrix.from_rows([[LAM, 1, 0], [0, LAM, 1], [0, 0, LAM]])), forward_shift())
+)
+
+
+def _assert_chain_matches_oracle(section):
+    rep = chain_report(section)
+    kernel_dims, range_dims, asc, dsc = brute_chain(section)
+    d = section.rows
+    assert (rep.asc, rep.dsc) == (asc, dsc)
+    assert len(rep.range_dims) == rep.asc + 2
+    assert rep.range_dims == tuple(range_dims[: rep.asc + 2])
+    assert rep.kernel_dims == tuple(kernel_dims[: rep.asc + 2])
+    assert all(k + r == d for k, r in zip(rep.kernel_dims, rep.range_dims))
+    assert (rep.alpha, rep.beta) == (kernel_dims[1], d - range_dims[1])
+
+
+@pytest.mark.parametrize("lam", [GQ(0), LAM], ids=["0", "2-i"])
+@pytest.mark.parametrize(
+    "spec",
+    [WEIGHTED, SHIFT_PLUS_RANK_ONE, JORDAN_PLUS_FORWARD],
+    ids=["weighted", "shift_plus_rank_one", "jordan_plus_forward"],
+)
+def test_chain_report_matches_oracle_on_tower_sections(spec, lam):
+    for n in (spec.min_truncation(), 8, 16, 24):
+        _assert_chain_matches_oracle(spec.realize(n).shifted(lam))
+
+
+def test_chain_report_matches_oracle_zero_dimensional():
+    _assert_chain_matches_oracle(Matrix.zeros(0, 0))
 
 
 def test_tower_verdict_divergent_backward_asc():
