@@ -19,7 +19,7 @@ import sys
 
 from . import __version__
 from .convergence import PROBE_IDS, probe, sequence_from_obj, trajectory
-from .exact import matrix_from_obj
+from .exact import json_object, matrix_from_obj
 from .gq import GaussianRational, parse_scalar
 from .numeric import (
     FloatSubspace,
@@ -133,7 +133,7 @@ def _emit(args, text: str) -> None:
 
 
 def _subspace_from_file(path: str, tol: Tolerance) -> FloatSubspace:
-    obj = _load_json(path)
+    obj = json_object(_load_json(path), "subspace file")
     field = obj.get("field", "gq")
     if field == "gq":
         from .exact import Subspace

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import Matrix, matrix_from_obj, matrix_to_obj
+from .exact import Matrix, json_integer, json_object, matrix_from_obj, matrix_to_obj
 from .gq import GQ, GaussianRational, format_scalar
 from .numeric import (
     DEFAULT_TOL,
@@ -153,12 +153,11 @@ def sequence_from_obj(obj: dict) -> SequenceSpec:
     try:
         base_obj = obj["base"]
         pert = obj["perturbation"]
-        n_range = tuple(int(v) for v in obj["n_range"])
+        n_range = tuple(json_integer(v, "n_range entry") for v in obj["n_range"])
+        json_object(base_obj, "base")
+        json_object(pert, "perturbation")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed sequence spec: {exc}") from exc
-    for key, value in (("base", base_obj), ("perturbation", pert)):
-        if not isinstance(value, dict):
-            raise ValueError(f"malformed sequence spec: {key} must be a JSON object")
     base: Matrix | OperatorSpec | np.ndarray
     if "variant" in base_obj:
         base = spec_from_obj(base_obj)
@@ -188,9 +187,7 @@ def sequence_from_obj(obj: dict) -> SequenceSpec:
 
 
 def _matrix_any_field(obj: dict):
-    if not isinstance(obj, dict):
-        raise ValueError(f"matrix must be a JSON object, got {obj!r}")
-    if obj.get("field", "gq") == "f64":
+    if json_object(obj, "matrix").get("field", "gq") == "f64":
         return array_from_obj(obj)
     return matrix_from_obj(obj)
 

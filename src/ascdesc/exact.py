@@ -12,7 +12,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .gq import GQ, GaussianRational, format_scalar, parse_scalar
+from sympy.polys.domains import ZZ_I
+from sympy.polys.matrices import DomainMatrix
+
+from .gq import GQ, GaussianRational, common_denominator, format_scalar, parse_scalar
 
 Entryish = GaussianRational | Fraction | int
 
@@ -480,21 +483,25 @@ def codim(y: Subspace) -> int:
 def char_poly(a: Matrix) -> tuple[GaussianRational, ...]:
     """Coefficients of det(xI - A), ascending by power, leading term 1.
 
-    Computed by the Faddeev-LeVerrier recurrence, which only divides by
-    the integers 1..n and so stays exact over the Gaussian rationals.
+    With D the common denominator of the entries, B = D*A is converted
+    once to a sympy ``DomainMatrix`` over the Gaussian integers ``ZZ_I``,
+    whose ``charpoly`` runs the division-free Berkowitz algorithm
+    (Berkowitz 1984).  det(xI - A) = det(Dx I - B) / D^n, so the
+    coefficient of x^k is that of B divided by D^(n-k), exactly.
     """
     if not a.is_square:
         raise ValueError("characteristic polynomial requires a square matrix")
     n = a.rows
-    coeffs = [_ZERO] * (n + 1)
-    coeffs[n] = _ONE
-    am = Matrix.zeros(n, n)
-    ident = Matrix.identity(n)
-    for k in range(1, n + 1):
-        m = am + ident.scale(coeffs[n - k + 1])
-        am = a @ m
-        coeffs[n - k] = -(am.trace() / k)
-    return tuple(coeffs)
+    den = common_denominator(a.entries)
+    rows = [
+        [ZZ_I(v.re_num * (den // v.re_den), v.im_num * (den // v.im_den)) for v in a.row(i)]
+        for i in range(n)
+    ]
+    coeffs = DomainMatrix(rows, (n, n), ZZ_I).charpoly()
+    return tuple(
+        GQ(Fraction(int(c.x), den ** (n - k)), Fraction(int(c.y), den ** (n - k)))
+        for k, c in enumerate(reversed(coeffs))
+    )
 
 
 def eval_poly(coeffs: Sequence[Entryish], value: Entryish) -> GaussianRational:
@@ -515,15 +522,6 @@ def poly_of_matrix(coeffs: Sequence[Entryish], a: Matrix) -> Matrix:
     for c in reversed(list(coeffs)):
         acc = acc @ a + Matrix.identity(n).scale(c)
     return acc
-
-
-def determinant(a: Matrix) -> GaussianRational:
-    """det(A), read off the constant characteristic coefficient."""
-    if not a.is_square:
-        raise ValueError("determinant requires a square matrix")
-    c0 = char_poly(a)[0]
-    # det(xI - A) at x = 0 equals (-1)^n det(A)
-    return c0 if a.rows % 2 == 0 else -c0
 
 
 def solve_exact(a: Matrix, b: Matrix) -> Matrix:
@@ -563,18 +561,24 @@ def matrix_to_obj(a: Matrix) -> dict:
     }
 
 
-def json_dimension(obj: dict, key: str) -> int:
-    """obj[key] as a dimension; only a JSON integer counts, not true or 2.5."""
-    value = obj[key]
+def json_integer(value, what: str) -> int:
+    """value as an int; only a JSON integer counts, not true, 2.5 or "2"."""
     if type(value) is not int:  # bool is an int subclass
-        raise ValueError(f"{key} must be an integer, got {value!r}")
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_object(value, what: str) -> dict:
+    """value itself if it is a JSON object; ``what`` names it in the error."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
     return value
 
 
 def matrix_from_obj(obj: dict) -> Matrix:
     try:
-        rows = json_dimension(obj, "rows")
-        cols = json_dimension(obj, "cols")
+        rows = json_integer(obj["rows"], "rows")
+        cols = json_integer(obj["cols"], "cols")
         field = obj.get("field", "gq")
         raw = obj["entries"]
     except (KeyError, TypeError, ValueError) as exc:

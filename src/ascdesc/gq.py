@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from math import lcm
+from typing import Iterable, Union
 
 Scalarish = Union[int, Fraction, "GaussianRational"]
 
@@ -127,6 +128,14 @@ GQ = GaussianRational
 ZERO = GQ(0)
 ONE = GQ(1)
 I_UNIT = GQ(0, 1)
+
+
+def common_denominator(values: Iterable[GaussianRational]) -> int:
+    """Least positive D with D * v a Gaussian integer for every v."""
+    den = 1
+    for v in values:
+        den = lcm(den, v.re_den, v.im_den)
+    return den
 
 
 def parse_scalar(text: str) -> GaussianRational:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import Matrix, Subspace, json_dimension
+from .exact import Matrix, Subspace, json_integer
 
 _ORTHO_TOL = 1e-12
 
@@ -96,8 +96,8 @@ def matrix_to_array(a: Matrix) -> np.ndarray:
 def array_from_obj(obj: dict) -> np.ndarray:
     """Float matrix from the shared JSON shape with field "f64"."""
     try:
-        rows = json_dimension(obj, "rows")
-        cols = json_dimension(obj, "cols")
+        rows = json_integer(obj["rows"], "rows")
+        cols = json_integer(obj["cols"], "cols")
         field = obj.get("field", "f64")
         raw = obj["entries"]
     except (KeyError, TypeError, ValueError) as exc:

@@ -1,11 +1,13 @@
 """Eigenvalue enumeration and ascent/descent spectra for exact matrices.
 
-Eigenvalues are found exactly as roots of the characteristic polynomial
-inside the Gaussian rationals; roots living in larger extensions are
-reported through a residual degree instead of being approximated.  For
-a finite-dimensional operator every point has finite ascent and
-descent, so both spectra are empty; the profile table carries the
-per-eigenvalue indices that remain meaningful.
+Eigenvalues are the roots of the characteristic polynomial that lie in
+the Gaussian rationals.  They are read off the integer norm of that
+polynomial, factored over the integers, and confirmed by exact
+synthetic division; roots living in larger extensions are reported
+through a residual degree instead of being approximated.  For a
+finite-dimensional operator every point has finite ascent and descent,
+so both spectra are empty; the profile table carries the per-eigenvalue
+indices that remain meaningful.
 """
 
 from __future__ import annotations
@@ -14,12 +16,16 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
-import sympy
+from sympy.polys.densearith import dup_add, dup_sqr
+from sympy.polys.densebasic import dup_strip
+from sympy.polys.domains import ZZ
+from sympy.polys.factortools import dup_factor_list
 
 from .chains import chain_report
 from .exact import Matrix, char_poly, poly_of_matrix
-from .gq import GQ, GaussianRational, format_scalar
+from .gq import GQ, ZERO, GaussianRational, common_denominator, format_scalar
 
 CERT_FINITE_DIM = "finite-dim-stabilization"
 
@@ -64,43 +70,75 @@ class SpectrumProfile:
         }
 
 
-def _coeff_to_sympy(c: GaussianRational):
-    return sympy.Rational(c.re_num, c.re_den) + sympy.Rational(c.im_num, c.im_den) * sympy.I
+def _norm_polynomial(coeffs: tuple[GaussianRational, ...]) -> list:
+    """Integer coefficients (descending) of N = P * conj(P), P = D * p.
+
+    Writing P = R + iS with R, S in Z[x] gives N = R^2 + S^2.
+    """
+    den = common_denominator(coeffs)
+    re = dup_strip([ZZ(c.re_num * (den // c.re_den)) for c in reversed(coeffs)])
+    im = dup_strip([ZZ(c.im_num * (den // c.im_den)) for c in reversed(coeffs)])
+    return dup_add(dup_sqr(re, ZZ), dup_sqr(im, ZZ), ZZ)
 
 
-def _root_from_expr(expr) -> GaussianRational:
-    re_part, im_part = expr.as_real_imag()
-    re_q = sympy.Rational(re_part)
-    im_q = sympy.Rational(im_part)
-    return GQ(Fraction(re_q.p, re_q.q), Fraction(im_q.p, im_q.q))
+def _candidates(norm: list) -> list[GaussianRational]:
+    """Q(i)-points among the roots of the integer polynomial ``norm``."""
+    out: list[GaussianRational] = []
+    for fac, _ in dup_factor_list(norm, ZZ)[1]:
+        fac = [int(c) for c in fac]
+        if len(fac) == 2:
+            a, b = fac
+            out.append(GQ(Fraction(-b, a)))
+        elif len(fac) == 3:
+            a, b, c = fac
+            disc = b * b - 4 * a * c
+            s = isqrt(-disc) if disc < 0 else 0
+            if s and s * s == -disc:
+                re = Fraction(-b, 2 * a)
+                im = Fraction(s, 2 * a)
+                out.extend((GQ(re, im), GQ(re, -im)))
+    return out
+
+
+def _deflate(poly: list[GaussianRational], root: GaussianRational) -> list | None:
+    """Quotient of ``poly`` (descending) by x - root, or None if root is no root."""
+    acc = ZERO
+    out = []
+    for c in poly:
+        acc = acc * root + c
+        out.append(acc)
+    return None if out.pop() else out
 
 
 @lru_cache(maxsize=512)
 def eigenvalue_multiplicities(t: Matrix) -> tuple[tuple[tuple[GaussianRational, int], ...], int]:
     """Roots of char(T) in Q(i) with multiplicities, plus residual degree.
 
-    The characteristic polynomial is factored exactly over the Gaussian
-    rationals; the residual degree counts the part that does not split
-    (0 means the polynomial splits completely).
+    Candidates come from the norm N = P * conj(P), an integer polynomial
+    with P = D * char(T) cleared of denominators, factored over the
+    integers (Trager 1976).  Every root a + bi of char(T) is a root of N,
+    so its minimal polynomial over Q, x - a or (x - a)^2 + b^2, divides N
+    and is, up to a constant, one of N's irreducible factors over Z
+    (Gauss's lemma).  So the linear factors of N and those quadratic
+    factors whose roots lie in Q(i) give every Q(i)-root; each
+    candidate is confirmed, and its multiplicity counted, by exact
+    synthetic division of char(T).  The residual degree counts the part
+    that does not split (0 means the polynomial splits completely).
     """
     coeffs = char_poly(t)
-    n = t.rows
-    if n == 0:
+    if t.rows == 0:
         return (), 0
-    x = sympy.Symbol("x")
-    expr = sum(_coeff_to_sympy(c) * x**k for k, c in enumerate(coeffs))
-    poly = sympy.Poly(expr, x, domain="QQ_I")
-    _, factors = poly.factor_list()
+    poly = list(reversed(coeffs))
     roots: list[tuple[GaussianRational, int]] = []
-    residual = 0
-    for fac, mult in factors:
-        if fac.degree() == 1:
-            c1, c0 = fac.all_coeffs()
-            roots.append((_root_from_expr(-c0 / c1), int(mult)))
-        else:
-            residual += fac.degree() * int(mult)
+    for cand in _candidates(_norm_polynomial(coeffs)):
+        mult = 0
+        while (quotient := _deflate(poly, cand)) is not None:
+            poly = quotient
+            mult += 1
+        if mult:
+            roots.append((cand, mult))
     roots.sort(key=lambda rm: rm[0].sort_key())
-    return tuple(roots), residual
+    return tuple(roots), len(poly) - 1
 
 
 def eigenvalues_exact(t: Matrix) -> tuple[tuple[GaussianRational, ...], int]:

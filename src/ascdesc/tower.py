@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chains import chain_report
-from .exact import Matrix, cached_image, matrix_from_obj, matrix_to_obj
+from .exact import Matrix, cached_image, json_object, matrix_from_obj, matrix_to_obj
 from .gq import GQ, GaussianRational, format_scalar, parse_scalar
 
 QUANTITIES = ("asc", "dsc", "alpha", "beta")
@@ -312,27 +312,32 @@ def spec_from_obj(obj: dict) -> OperatorSpec:
         variant = obj["variant"]
     except (KeyError, TypeError) as exc:
         raise ValueError("operator spec needs a 'variant' key") from exc
-    if variant == "dense":
-        return DenseSpec(matrix_from_obj(obj["matrix"]))
-    if variant == "banded":
-        diags = {}
-        for key, seq in obj.get("diagonals", {}).items():
-            diags[int(key)] = EventuallyPeriodic(
-                tuple(parse_scalar(str(v)) for v in seq.get("pre", [])),
-                tuple(parse_scalar(str(v)) for v in seq.get("period", [])),
-            )
-        return BandedSpec.from_dict(diags)
-    if variant == "finite_rank":
-        terms = []
-        for term in obj.get("terms", []):
-            left = tuple(parse_scalar(str(v)) for v in term["left"])
-            right = tuple(parse_scalar(str(v)) for v in term["right"])
-            terms.append((left, right))
-        return FiniteRankSpec(tuple(terms))
-    if variant == "sum":
-        return SumSpec(tuple(spec_from_obj(p) for p in obj["parts"]))
-    if variant == "direct_sum":
-        return DirectSumSpec(tuple(spec_from_obj(p) for p in obj["parts"]))
+    try:
+        if variant == "dense":
+            return DenseSpec(matrix_from_obj(obj["matrix"]))
+        if variant == "banded":
+            diags = {}
+            for key, seq in json_object(obj.get("diagonals", {}), "diagonals").items():
+                seq = json_object(seq, f"diagonal {key}")
+                diags[int(key)] = EventuallyPeriodic(
+                    tuple(parse_scalar(str(v)) for v in seq.get("pre", [])),
+                    tuple(parse_scalar(str(v)) for v in seq.get("period", [])),
+                )
+            return BandedSpec.from_dict(diags)
+        if variant == "finite_rank":
+            terms = []
+            for term in obj.get("terms", []):
+                term = json_object(term, "finite_rank term")
+                left = tuple(parse_scalar(str(v)) for v in term["left"])
+                right = tuple(parse_scalar(str(v)) for v in term["right"])
+                terms.append((left, right))
+            return FiniteRankSpec(tuple(terms))
+        if variant == "sum":
+            return SumSpec(tuple(spec_from_obj(p) for p in obj["parts"]))
+        if variant == "direct_sum":
+            return DirectSumSpec(tuple(spec_from_obj(p) for p in obj["parts"]))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed {variant!r} operator spec: {exc!r}") from exc
     raise ValueError(f"unknown operator spec variant {variant!r}")
 
 

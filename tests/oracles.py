@@ -4,12 +4,16 @@ Rank decisions here never touch the library's elimination code: the
 matrix is cleared to Gaussian-integer entries and ranked by fraction-free
 Bareiss condensation with exact integer division, and powers are formed
 by a local integer matrix product.  Chain indices derived this way give
-a second opinion on ascent and descent.
+a second opinion on ascent and descent.  Eigenvalues get a second
+opinion from sympy's own characteristic polynomial factored over QQ_I.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
+
+import sympy
 
 from ascdesc.exact import Matrix
 
@@ -119,3 +123,32 @@ def brute_chain(matrix: Matrix) -> tuple[list[int], list[int], int, int]:
     asc = next(k for k in range(d + 1) if kernel_dims[k] == kernel_dims[k + 1])
     dsc = next(k for k in range(d + 1) if ranks[k] == ranks[k + 1])
     return kernel_dims, ranks, asc, dsc
+
+
+def oracle_eigen(matrix: Matrix) -> tuple[dict[tuple[Fraction, Fraction], int], int]:
+    """{(re, im): multiplicity} of the Q(i)-eigenvalues, plus residual degree.
+
+    The reference method: the characteristic polynomial of a
+    ``sympy.Matrix`` built from the entries, factored over ``QQ_I``,
+    keeping the linear factors.  It shares no code with
+    ``ascdesc.spectra`` or ``ascdesc.exact.char_poly``.
+    """
+    x = sympy.Symbol("x")
+    n = matrix.rows
+    entries = [
+        sympy.Rational(v.re_num, v.re_den) + sympy.I * sympy.Rational(v.im_num, v.im_den)
+        for v in matrix.entries
+    ]
+    char = sympy.Matrix(n, n, entries).charpoly(x).as_expr()
+    _, factors = sympy.factor_list(char, x, domain="QQ_I")
+    roots: dict[tuple[Fraction, Fraction], int] = {}
+    residual = 0
+    for fac, mult in factors:
+        poly = sympy.Poly(fac, x)
+        if poly.degree() == 1:
+            c1, c0 = poly.all_coeffs()
+            re, im = (-c0 / c1).as_real_imag()
+            roots[(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))] = int(mult)
+        else:
+            residual += poly.degree() * int(mult)
+    return roots, residual

@@ -237,7 +237,7 @@ def test_converge_rejects_non_object_parts(tmp_path, keys):
     assert_one_error_line(run_cli("converge", path), f"{keys[-1]} must be a JSON object")
 
 
-@pytest.mark.parametrize("dim", [True, 2.5])
+@pytest.mark.parametrize("dim", [True, 2.5, "2"])
 @pytest.mark.parametrize("key", ["rows", "cols"])
 def test_dimensions_must_be_integers(tmp_path, key, dim):
     m = write(tmp_path, "m.json", dict(JORDAN3, **{key: dim}))
@@ -245,6 +245,34 @@ def test_dimensions_must_be_integers(tmp_path, key, dim):
     f64 = {"rows": 1, "cols": 2, "field": "f64", "entries": [[1.0, 0.0]], key: dim}
     y = write(tmp_path, "y.json", f64)
     assert_one_error_line(run_cli("gap", y, y), f"{key} must be an integer")
+
+
+@pytest.mark.parametrize("entry", [True, 2.5, "2"])
+def test_converge_n_range_entries_must_be_integers(tmp_path, entry):
+    seq = json.loads(json.dumps(RESOLVENT_SEQ))
+    seq["n_range"][0] = entry  # int() would read each of these as a valid start
+    path = write(tmp_path, "seq.json", seq)
+    assert_one_error_line(run_cli("converge", path), "n_range entry must be an integer")
+
+
+def test_gap_rejects_non_object_subspace_file(tmp_path):
+    y = write(tmp_path, "y.json", [1])
+    assert_one_error_line(run_cli("gap", y, y), "subspace file must be a JSON object")
+
+
+@pytest.mark.parametrize(
+    "spec, cause",
+    [
+        ({"variant": "banded", "diagonals": 5}, "diagonals must be a JSON object"),
+        ({"variant": "banded", "diagonals": {"1": 5}}, "diagonal 1 must be a JSON object"),
+        ({"variant": "finite_rank", "terms": [5]}, "term must be a JSON object"),
+        ({"variant": "finite_rank", "terms": [{"left": ["1"]}]}, "'right'"),
+    ],
+    ids=["diagonals", "diagonal", "term", "term-key"],
+)
+def test_spectrum_tower_rejects_malformed_spec(tmp_path, spec, cause):
+    path = write(tmp_path, "spec.json", spec)
+    assert_one_error_line(run_cli("spectrum", path, "--tower", "--candidates", "0"), cause)
 
 
 @pytest.mark.parametrize("lam", ["nan", "inf"])

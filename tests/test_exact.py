@@ -239,11 +239,17 @@ def test_char_poly_examples():
     assert char_poly(rot) == (GQ(1), GQ(0), GQ(1))
 
 
-@given(small_dims, seeds)
+@given(
+    st.integers(min_value=0, max_value=5),
+    seeds,
+    st.sampled_from([GQ(1), GQ(Fraction(1, 2), Fraction(-1, 3))]),
+)
 @settings(max_examples=40, deadline=None)
-def test_cayley_hamilton(dim, seed):
-    m = gq_matrix(dim, dim, seed)
+def test_cayley_hamilton(dim, seed, scale):
+    m = gq_matrix(dim, dim, seed).scale(scale)
     coeffs = char_poly(m)
+    assert len(coeffs) == dim + 1 and coeffs[-1] == GQ(1)
+    assert dim == 0 or coeffs[-2] == -m.trace()
     acc = Matrix.zeros(dim, dim)
     for c in reversed(coeffs):
         acc = acc @ m + Matrix.identity(dim).scale(c)

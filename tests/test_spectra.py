@@ -1,4 +1,9 @@
-from ascdesc.exact import Matrix
+import random
+from fractions import Fraction
+
+import pytest
+
+from ascdesc.exact import Matrix, block_diag, invert
 from ascdesc.gq import GQ
 from ascdesc.spectra import (
     CERT_FINITE_DIM,
@@ -10,6 +15,7 @@ from ascdesc.spectra import (
     poly_spectral_map_check,
 )
 from ascdesc.theorems import random_matrix
+from oracles import oracle_eigen
 
 J2 = Matrix.from_rows([[0, 1], [0, 0]])
 J3 = Matrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
@@ -34,6 +40,95 @@ def test_eigenvalues_irrational_residual():
 def test_eigenvalue_multiplicities():
     roots, residual = eigenvalue_multiplicities(Matrix.diag([1, 2, 2]))
     assert roots == ((GQ(1), 1), (GQ(2), 2)) and residual == 0
+
+
+def companion(*coeffs):
+    """Companion matrix of the monic x^n + c_(n-1) x^(n-1) + ... + c_0 (coeffs ascending)."""
+    n = len(coeffs)
+    rows = [[GQ(0)] * n for _ in range(n)]
+    for i in range(n):
+        if i:
+            rows[i][i - 1] = GQ(1)
+        rows[i][n - 1] = -GQ(coeffs[i])
+    return Matrix.from_rows(rows)
+
+
+def jordan_similar(blocks, seed):
+    """V J V^-1 for J with Jordan blocks [(eigenvalue, size), ...], V random invertible."""
+    j = block_diag(*(
+        Matrix(size, size, [lam if r == c else GQ(int(c == r + 1))
+                            for r in range(size) for c in range(size)])
+        for lam, size in blocks
+    ))
+    rng = random.Random(f"jordan-similar:{seed}")
+    while True:
+        v = Matrix(j.rows, j.rows, [GQ(rng.randint(-1, 1), rng.randint(-1, 1)) for _ in j.entries])
+        try:
+            return v @ j @ invert(v)
+        except ValueError:
+            continue
+
+
+def random_gq_matrix(seed):
+    """d = 1..8; odd seeds keep about a quarter of the entries, so more roots split."""
+    rng = random.Random(f"eigen-oracle:{seed}")
+    d = 1 + seed % 8
+    keep = 0.25 if seed % 2 else 1.0
+    return Matrix(d, d, [
+        GQ(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-1, 1))
+        if rng.random() < keep else GQ(0)
+        for _ in range(d * d)
+    ])
+
+
+GAUSS = GQ(Fraction(1, 3), Fraction(2, 3))
+EIGEN_CASES = {
+    "d0": Matrix(0, 0, []),
+    "jordan-gauss": jordan_similar([(GAUSS, 3), (GAUSS, 1), (GQ(-2, 1), 2)], 0),
+    "jordan-mixed": jordan_similar(
+        [(GQ(0), 2), (GQ(0), 1), (GQ(0, 1), 2), (GQ(Fraction(-1, 2)), 1)], 1
+    ),
+    "x2-2": companion(-2, 0),
+    "x2+2": companion(2, 0),
+    "4x2+1": companion(Fraction(1, 4), 0),
+    "9x2-4": companion(Fraction(-4, 9), 0),
+    # (x^2 - 2) (x - 1/2 - i)^2 (x^2 + 1/9) (x^2 + x + 1): two factors split, two do not
+    "mixed": block_diag(
+        companion(-2, 0),
+        jordan_similar([(GQ(Fraction(1, 2), 1), 2)], 2),
+        companion(Fraction(1, 9), 0),
+        companion(1, 1),
+    ),
+    "mixed-companion": companion(2, -2, 1, -1, -1),  # (x - 1)(x^2 + 1)(x^2 - 2)
+    **{f"random-{seed}": random_gq_matrix(seed) for seed in range(16)},
+}
+
+
+@pytest.mark.parametrize("name", list(EIGEN_CASES))
+def test_eigenvalue_multiplicities_match_oracle(name):
+    t = EIGEN_CASES[name]
+    roots, residual = eigenvalue_multiplicities(t)
+    expected, expected_residual = oracle_eigen(t)
+    assert {(lam.re, lam.im): mult for lam, mult in roots} == expected
+    assert residual == expected_residual
+    assert [lam.sort_key() for lam, _ in roots] == sorted(lam.sort_key() for lam, _ in roots)
+
+
+def test_eigenvalue_oracle_cases_cover_the_root_shapes():
+    assert eigenvalue_multiplicities(EIGEN_CASES["d0"]) == ((), 0)
+    assert eigenvalue_multiplicities(EIGEN_CASES["jordan-gauss"])[0][1] == (GAUSS, 4)
+    assert eigenvalue_multiplicities(EIGEN_CASES["x2-2"]) == ((), 2)
+    assert eigenvalue_multiplicities(EIGEN_CASES["x2+2"]) == ((), 2)
+    half, two_thirds = Fraction(1, 2), Fraction(2, 3)
+    assert eigenvalue_multiplicities(EIGEN_CASES["4x2+1"]) == (
+        ((GQ(0, -half), 1), (GQ(0, half), 1)), 0
+    )
+    assert eigenvalue_multiplicities(EIGEN_CASES["9x2-4"]) == (
+        ((GQ(-two_thirds), 1), (GQ(two_thirds), 1)), 0
+    )
+    roots, residual = eigenvalue_multiplicities(EIGEN_CASES["mixed"])
+    assert dict(roots) == {GQ(half, 1): 2, GQ(0, Fraction(1, 3)): 1, GQ(0, Fraction(-1, 3)): 1}
+    assert residual == 4
 
 
 def test_point_profile_examples():
