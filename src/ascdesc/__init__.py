@@ -18,14 +18,10 @@ from .exact import (
     image_basis,
     is_direct_sum,
     kernel_basis,
-    mat_add,
-    mat_mul,
-    mat_pow,
     matrix_from_obj,
     matrix_to_obj,
     rank,
     rref,
-    scalar_shift,
     subspace_intersection,
     subspace_sum,
 )
@@ -71,7 +67,6 @@ from .tower import (
     forward_shift,
     identity_tail,
     is_power_finite_rank,
-    realize,
     spec_from_obj,
     tower_spectrum,
     tower_verdict,

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import __version__
@@ -214,23 +213,12 @@ def _cmd_spectrum(args, argv) -> int:
     return EXIT_OK
 
 
-def _workers_from_env() -> int | None:
-    raw = os.environ.get("ASCDESC_THREADS")
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError("ASCDESC_THREADS must be an integer") from exc
-    return max(1, value)
-
-
 def _cmd_verify(args, argv) -> int:
     if args.format != "json":
         raise ValueError("verify reports are JSON only")
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
-    verdicts = run_batch(args.theorem, args.seed, args.trials, workers=_workers_from_env())
+    verdicts = run_batch(args.theorem, args.seed, args.trials)
     summary = batch_summary(verdicts)
     report = {
         "theorem": args.theorem,

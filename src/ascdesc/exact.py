@@ -15,18 +15,12 @@ from typing import Iterable, Sequence
 from sympy.polys.domains import ZZ_I
 from sympy.polys.matrices import DomainMatrix
 
-from .gq import GQ, GaussianRational, common_denominator, format_scalar, parse_scalar
+from .gq import GQ, GaussianRational, as_gq, common_denominator, format_scalar, parse_scalar
 
 Entryish = GaussianRational | Fraction | int
 
 _ZERO = GQ(0)
 _ONE = GQ(1)
-
-
-def _as_gq(value: Entryish) -> GaussianRational:
-    if isinstance(value, GaussianRational):
-        return value
-    return GQ(value)
 
 
 class Matrix:
@@ -37,7 +31,7 @@ class Matrix:
     def __init__(self, rows: int, cols: int, entries: Sequence[Entryish]):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        ent = tuple(_as_gq(e) for e in entries)
+        ent = tuple(as_gq(e) for e in entries)
         if len(ent) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(ent)}")
         object.__setattr__(self, "rows", rows)
@@ -73,7 +67,7 @@ class Matrix:
         n = len(values)
         flat = [_ZERO] * (n * n)
         for i, v in enumerate(values):
-            flat[i * n + i] = _as_gq(v)
+            flat[i * n + i] = as_gq(v)
         return cls(n, n, flat)
 
     def at(self, i: int, j: int) -> GaussianRational:
@@ -130,7 +124,7 @@ class Matrix:
         return Matrix(self.rows, self.cols, [-a for a in self.entries])
 
     def scale(self, factor: Entryish) -> "Matrix":
-        f = _as_gq(factor)
+        f = as_gq(factor)
         return Matrix(self.rows, self.cols, [f * a for a in self.entries])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -173,32 +167,24 @@ class Matrix:
         """A - lam*I for square A."""
         if not self.is_square:
             raise ValueError("shift requires a square matrix")
-        lam = _as_gq(lam)
+        lam = as_gq(lam)
         flat = list(self.entries)
         for i in range(self.rows):
             flat[i * self.cols + i] = flat[i * self.cols + i] - lam
         return Matrix(self.rows, self.cols, flat)
 
     def power(self, k: int) -> "Matrix":
+        """A^k, entry k of this matrix's cached chain of powers."""
         if not self.is_square:
             raise ValueError("power requires a square matrix")
         if k < 0:
             raise ValueError("negative powers are not supported")
-        result = Matrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base_needed = k >> 1
-            if base_needed:
-                base = base @ base
-            k = base_needed
-        return result
+        return power_chain(self, k)[k]
 
     def apply(self, vector: Sequence[Entryish]) -> tuple[GaussianRational, ...]:
         if len(vector) != self.cols:
             raise ValueError("vector length must match column count")
-        vec = [_as_gq(v) for v in vector]
+        vec = [as_gq(v) for v in vector]
         out = []
         for i in range(self.rows):
             acc = _ZERO
@@ -216,22 +202,6 @@ class Matrix:
             raise ValueError(
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return a + b
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b
-
-
-def mat_pow(a: Matrix, k: int) -> Matrix:
-    return a.power(k)
-
-
-def scalar_shift(a: Matrix, lam: Entryish) -> Matrix:
-    return a.shifted(lam)
 
 
 def hstack(a: Matrix, b: Matrix) -> Matrix:
@@ -371,7 +341,7 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
     def contains_vector(self, vector: Sequence[Entryish]) -> bool:
-        vec = [_as_gq(v) for v in vector]
+        vec = [as_gq(v) for v in vector]
         if len(vec) != self.ambient_dim:
             raise ValueError("vector length must match the ambient dimension")
         for i in range(self.basis.rows):
@@ -422,10 +392,6 @@ def image_basis(a: Matrix) -> Subspace:
     return Subspace.from_spanning_rows(
         a.rows, [a.col(j) for j in range(a.cols)]
     )
-
-
-def row_space(a: Matrix) -> Subspace:
-    return Subspace.from_spanning_rows(a.cols, [a.row(i) for i in range(a.rows)])
 
 
 def subspace_sum(y: Subspace, z: Subspace) -> Subspace:
@@ -504,15 +470,6 @@ def char_poly(a: Matrix) -> tuple[GaussianRational, ...]:
     )
 
 
-def eval_poly(coeffs: Sequence[Entryish], value: Entryish) -> GaussianRational:
-    """Evaluate a coefficient list (ascending powers) at a scalar."""
-    v = _as_gq(value)
-    acc = _ZERO
-    for c in reversed(list(coeffs)):
-        acc = acc * v + _as_gq(c)
-    return acc
-
-
 def poly_of_matrix(coeffs: Sequence[Entryish], a: Matrix) -> Matrix:
     """Evaluate a coefficient list (ascending powers) at a square matrix."""
     if not a.is_square:
@@ -575,6 +532,13 @@ def json_object(value, what: str) -> dict:
     return value
 
 
+def json_array(value, what: str) -> list:
+    """value itself if it is a JSON array; a string is not read as one."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON array, got {value!r}")
+    return value
+
+
 def matrix_from_obj(obj: dict) -> Matrix:
     try:
         rows = json_integer(obj["rows"], "rows")
@@ -592,12 +556,23 @@ def matrix_from_obj(obj: dict) -> Matrix:
 
 
 @lru_cache(maxsize=128)
+def _powers(a: Matrix) -> list[Matrix]:
+    """The growable chain [A^0, A^1, ...] of one matrix, keyed by A alone.
+
+    Memory is bounded by the cache: at most ``maxsize`` chains are held,
+    and each is only as long as the largest exponent asked of its matrix.
+    Growing appends to a list shared by every caller, so this is not
+    thread-safe.
+    """
+    return [Matrix.identity(a.rows)]
+
+
 def power_chain(a: Matrix, top: int) -> tuple[Matrix, ...]:
-    """Powers A^0 .. A^top, cached; heavy callers share one computation."""
-    powers = [Matrix.identity(a.rows)]
-    for _ in range(top):
-        powers.append(powers[-1] @ a)
-    return tuple(powers)
+    """Powers A^0 .. A^top, grown on demand in A's cached chain."""
+    chain = _powers(a)
+    while len(chain) <= top:
+        chain.append(chain[-1] @ a)
+    return tuple(chain[: top + 1])
 
 
 @lru_cache(maxsize=4096)

@@ -130,6 +130,11 @@ ONE = GQ(1)
 I_UNIT = GQ(0, 1)
 
 
+def as_gq(value) -> GaussianRational:
+    """value itself if it is a GaussianRational, else GQ(value)."""
+    return value if isinstance(value, GaussianRational) else GaussianRational(value)
+
+
 def common_denominator(values: Iterable[GaussianRational]) -> int:
     """Least positive D with D * v a Gaussian integer for every v."""
     den = 1

@@ -25,7 +25,7 @@ from sympy.polys.factortools import dup_factor_list
 
 from .chains import chain_report
 from .exact import Matrix, char_poly, poly_of_matrix
-from .gq import GQ, ZERO, GaussianRational, common_denominator, format_scalar
+from .gq import GQ, ZERO, GaussianRational, as_gq, common_denominator, format_scalar
 
 CERT_FINITE_DIM = "finite-dim-stabilization"
 
@@ -193,7 +193,7 @@ def poly_spectral_map_check(t: Matrix, coeffs) -> bool | None:
     roots, residual = eigenvalue_multiplicities(t)
     if residual:
         return None
-    coeff_list = [c if isinstance(c, GaussianRational) else GQ(c) for c in coeffs]
+    coeff_list = [as_gq(c) for c in coeffs]
     mapped = Counter()
     for lam, mult in roots:
         value = GQ(0)

@@ -34,23 +34,26 @@ from .exact import (
     block_diag,
     cached_image,
     cached_kernel,
+    hstack,
     invert,
     matrix_from_obj,
     matrix_to_obj,
+    poly_of_matrix,
     power_chain,
     rank,
     subspace_intersection,
     subspace_sum,
     is_direct_sum,
+    vstack,
 )
-from .gq import GQ, GaussianRational, format_scalar
+from .gq import GQ, GaussianRational, as_gq, format_scalar
 from .spectra import eigenvalues_exact, point_profile
 from .tower import (
     DEFAULT_CONFIG,
     OperatorSpec,
-    PowerRankVerdict,
     TowerConfig,
     classify_window,
+    probed_power_rank,
 )
 
 THEOREM_IDS = (
@@ -116,14 +119,15 @@ def _check_square_pair(s: Matrix, t: Matrix) -> int:
     return s.rows
 
 
-def _h1_kernel_split(s: Matrix, t: Matrix):
-    """Kernel condition of the splitting hypothesis, all p up to dim."""
+def _h1_kernel_split(s: Matrix, t: Matrix, top: int | None = None):
+    """Kernel condition of the splitting hypothesis for p = 1..top (default dim)."""
     d = _check_square_pair(s, t)
+    top = d if top is None else top
     ts = t @ s
-    s_pow = power_chain(s, d)
-    t_pow = power_chain(t, d)
-    ts_pow = power_chain(ts, d)
-    for p in range(1, d + 1):
+    s_pow = power_chain(s, top)
+    t_pow = power_chain(t, top)
+    ts_pow = power_chain(ts, top)
+    for p in range(1, top + 1):
         n_t = cached_kernel(t_pow[p])
         n_s = cached_kernel(s_pow[p])
         n_ts = cached_kernel(ts_pow[p])
@@ -145,21 +149,20 @@ def check_H2(s: Matrix, t: Matrix) -> HypothesisReport:
     """Descent index of TS plus the two range-inclusion alternatives."""
     _check_square_pair(s, t)
     commute = s @ t == t @ s
-    n0 = chain_report(t @ s).dsc
-    r_t = cached_image(t)
-    r_s = cached_image(s)
-    n_s = cached_kernel(s.power(n0))
-    n_t = cached_kernel(t.power(n0))
-    first = all(r_t.contains_vector(row) for row in n_s.basis_rows())
-    second = all(r_s.contains_vector(row) for row in n_t.basis_rows())
-    inclusion = None
-    if first:
-        inclusion = "N(S^n0) in R(T)"
-    elif second:
-        inclusion = "N(T^n0) in R(S)"
+    n0, inclusion = _h2_inclusion(s, t)
     return HypothesisReport(
-        commute=commute, h2=first or second, h2_n0=n0, h2_inclusion=inclusion
+        commute=commute, h2=inclusion is not None, h2_n0=n0, h2_inclusion=inclusion
     )
+
+
+def _h2_inclusion(s: Matrix, t: Matrix) -> tuple[int, str | None]:
+    """Descent n0 of TS and the first range inclusion that holds at n0, if any."""
+    n0 = chain_report(t @ s).dsc
+    if cached_image(t).contains(cached_kernel(s.power(n0))):
+        return n0, "N(S^n0) in R(T)"
+    if cached_image(s).contains(cached_kernel(t.power(n0))):
+        return n0, "N(T^n0) in R(S)"
+    return n0, None
 
 
 def check_hypotheses(s: Matrix, t: Matrix) -> HypothesisReport:
@@ -219,7 +222,7 @@ def in_R_set(s: Matrix, t: Matrix, lam) -> SetMembership:
     return SetMembership(
         member,
         "implication evaluated literally; finite dimension keeps ascent finite",
-        {"asc_sum": asc_sum, "h1": h1, "lambda": format_scalar(_as_gq(lam))},
+        {"asc_sum": asc_sum, "h1": h1, "lambda": format_scalar(as_gq(lam))},
     )
 
 
@@ -238,7 +241,7 @@ def in_M_set(s: Matrix, t: Matrix, lam) -> SetMembership:
             "n0": n0,
             "codim_S": codim_s,
             "codim_T": codim_t,
-            "lambda": format_scalar(_as_gq(lam)),
+            "lambda": format_scalar(as_gq(lam)),
         },
     )
 
@@ -255,12 +258,8 @@ def in_N_set(s: Matrix, t: Matrix, lam) -> SetMembership:
     return SetMembership(
         member,
         "implication evaluated literally; finite dimension keeps descent finite",
-        {"dsc_sum": dsc_sum, "h1_and_h2": hyps, "lambda": format_scalar(_as_gq(lam))},
+        {"dsc_sum": dsc_sum, "h1_and_h2": hyps, "lambda": format_scalar(as_gq(lam))},
     )
-
-
-def _as_gq(value) -> GaussianRational:
-    return value if isinstance(value, GaussianRational) else GQ(value)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +380,7 @@ def random_commuting_pair(
     a = _structured_block(rng, dim)
     p = _random_poly(rng, degree)
     q = _random_poly(rng, degree)
-    return _eval_poly_at(p, a), _eval_poly_at(q, a)
+    return poly_of_matrix(p, a), poly_of_matrix(q, a)
 
 
 def _random_poly(rng: random.Random, degree: int) -> list[GaussianRational]:
@@ -391,20 +390,13 @@ def _random_poly(rng: random.Random, degree: int) -> list[GaussianRational]:
             return coeffs
 
 
-def _eval_poly_at(coeffs: list[GaussianRational], a: Matrix) -> Matrix:
-    acc = Matrix.zeros(a.rows, a.rows)
-    for c in reversed(coeffs):
-        acc = acc @ a + Matrix.identity(a.rows).scale(c)
-    return acc
-
-
 def invertible_commuting_pair(seed: int, dim: int | None = None) -> tuple[Matrix, Matrix]:
     """(a, b) with ab = ba and a invertible: a = A + cI, c off the spectrum."""
     rng = random.Random(f"invertible:{seed}")
     if dim is None:
         dim = rng.randint(2, 4)
     a0 = _structured_block(rng, dim)
-    b = _eval_poly_at(_random_poly(rng, 2), a0)
+    b = poly_of_matrix(_random_poly(rng, 2), a0)
     for c in range(1, dim + 2):
         shifted = a0.shifted(GQ(-c))  # A + cI
         if rank(shifted) == dim:
@@ -808,10 +800,6 @@ def _verify_nov(mats, instance, seed) -> TheoremVerdict:
     )
 
 
-def _profile_at(m: Matrix, lam: GaussianRational) -> tuple[int, int, int, int]:
-    return point_profile(m, lam)
-
-
 def _verify_app_blocks(mats, instance, seed) -> TheoremVerdict:
     t, s, c = mats["T"], mats["S"], mats["C"]
     ks = instance.get("params", {}).get("ks", [2, 3, 10])
@@ -836,7 +824,7 @@ def _verify_app_blocks(mats, instance, seed) -> TheoremVerdict:
             problems.append({"k": k, "issue": "similarity identity"})
             continue
         for lam in eig_mc:
-            if _profile_at(m_c, lam) != _profile_at(m_ck, lam):
+            if point_profile(m_c, lam) != point_profile(m_ck, lam):
                 problems.append({"k": k, "lambda": format_scalar(lam), "issue": "profile"})
     eig_t, _ = eigenvalues_exact(t)
     eig_s, _ = eigenvalues_exact(s)
@@ -845,15 +833,15 @@ def _verify_app_blocks(mats, instance, seed) -> TheoremVerdict:
     if list(eig_m) != union:
         problems.append({"issue": "eigenvalue union"})
     for lam in union:
-        asc_t, dsc_t, alpha_t, beta_t = _profile_at(t, lam)
-        asc_s, dsc_s, alpha_s, beta_s = _profile_at(s, lam)
+        asc_t, dsc_t, alpha_t, beta_t = point_profile(t, lam)
+        asc_s, dsc_s, alpha_s, beta_s = point_profile(s, lam)
         expected = (
             max(asc_t, asc_s),
             max(dsc_t, dsc_s),
             alpha_t + alpha_s,
             beta_t + beta_s,
         )
-        if _profile_at(m_plain, lam) != expected:
+        if point_profile(m_plain, lam) != expected:
             problems.append({"lambda": format_scalar(lam), "issue": "block profile"})
     witness["violations"] = problems
     return _verdict(
@@ -862,18 +850,7 @@ def _verify_app_blocks(mats, instance, seed) -> TheoremVerdict:
 
 
 def _block_operator(t: Matrix, s: Matrix, c: Matrix) -> Matrix:
-    d1, d2 = t.rows, s.rows
-    flat = [GQ(0)] * ((d1 + d2) * (d1 + d2))
-    n = d1 + d2
-    for i in range(d1):
-        for j in range(d1):
-            flat[i * n + j] = t.at(i, j)
-        for j in range(d2):
-            flat[i * n + d1 + j] = c.at(i, j)
-    for i in range(d2):
-        for j in range(d2):
-            flat[(d1 + i) * n + d1 + j] = s.at(i, j)
-    return Matrix(n, n, flat)
+    return vstack(hstack(t, c), hstack(Matrix.zeros(s.rows, t.rows), s))
 
 
 _HANDLERS = {
@@ -892,23 +869,9 @@ _HANDLERS = {
 }
 
 
-def run_batch(
-    theorem: str, seed: int, trials: int, workers: int | None = None
-) -> list[TheoremVerdict]:
+def run_batch(theorem: str, seed: int, trials: int) -> list[TheoremVerdict]:
     """Seeded batch of checks, reported in seed order."""
-    seeds = list(range(seed, seed + trials))
-    if workers and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        def job(s: int) -> TheoremVerdict:
-            return verify(theorem, instance_for(theorem, s))
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, seeds))
-    else:
-        results = [verify(theorem, instance_for(theorem, s)) for s in seeds]
-    results.sort(key=lambda v: (v.seed if v.seed is not None else 0))
-    return results
+    return [verify(theorem, instance_for(theorem, s)) for s in range(seed, seed + trials)]
 
 
 def batch_summary(verdicts: list[TheoremVerdict]) -> dict:
@@ -936,45 +899,17 @@ def _classify_quantity(sections, lam, quantity, cfg) -> str | int:
 
 
 def _h1_window(s_secs, t_secs, lam, cfg, p_bound: int) -> bool:
-    for n in cfg.window():
-        s_l = s_secs[n].shifted(lam)
-        t_l = t_secs[n].shifted(lam)
-        ts = t_l @ s_l
-        for p in range(1, p_bound + 1):
-            n_t = cached_kernel(t_l.power(p))
-            n_s = cached_kernel(s_l.power(p))
-            n_ts = cached_kernel(ts.power(p))
-            if not is_direct_sum([n_t, n_s]) or subspace_sum(n_t, n_s) != n_ts:
-                return False
-    return True
+    return all(
+        _h1_kernel_split(s_secs[n].shifted(lam), t_secs[n].shifted(lam), p_bound)[0]
+        for n in cfg.window()
+    )
 
 
 def _h2_window(s_secs, t_secs, lam, cfg) -> bool:
-    for n in cfg.window():
-        s_l = s_secs[n].shifted(lam)
-        t_l = t_secs[n].shifted(lam)
-        n0 = chain_report(t_l @ s_l).dsc
-        r_t = cached_image(t_l)
-        r_s = cached_image(s_l)
-        n_s = cached_kernel(s_l.power(n0))
-        n_t = cached_kernel(t_l.power(n0))
-        first = all(r_t.contains_vector(row) for row in n_s.basis_rows())
-        second = all(r_s.contains_vector(row) for row in n_t.basis_rows())
-        if not (first or second):
-            return False
-    return True
-
-
-def _empirical_power_rank(sections: dict[int, Matrix], cfg: TowerConfig) -> PowerRankVerdict:
-    window = sorted(sections)
-    seen = []
-    for exponent in range(1, cfg.rank_power_bound + 1):
-        ranks = tuple(cached_image(sections[n].power(exponent)).dim for n in window)
-        seen.append((exponent, ranks))
-        if all(r == ranks[0] for r in ranks):
-            return PowerRankVerdict("likely-true", n0=exponent, rank=ranks[0],
-                                    ranks_seen=tuple(seen))
-    return PowerRankVerdict("likely-false", ranks_seen=tuple(seen))
+    return all(
+        _h2_inclusion(s_secs[n].shifted(lam), t_secs[n].shifted(lam))[1] is not None
+        for n in cfg.window()
+    )
 
 
 def verify_tower(
@@ -1001,14 +936,14 @@ def verify_tower(
     commute = all(
         s_secs[n] @ t_secs[n] == t_secs[n] @ s_secs[n] for n in cfg.window()
     )
-    f_tilde = _empirical_power_rank(prod_secs, cfg)
+    f_tilde = probed_power_rank(prod_secs, cfg)
     instance = {
         "theorem": theorem,
         "mode": "tower",
         "S": s_spec.to_obj(),
         "T": t_spec.to_obj(),
         "window": list(cfg.window()),
-        "candidates": [format_scalar(_as_gq(lam)) for lam in candidates],
+        "candidates": [format_scalar(as_gq(lam)) for lam in candidates],
     }
     witness: dict = {
         "commute_on_window": commute,
@@ -1023,7 +958,7 @@ def verify_tower(
     mismatches = []
     saw_inconclusive = False
     for lam in candidates:
-        lam = _as_gq(lam)
+        lam = as_gq(lam)
         cls_sum = _classify_quantity(sum_secs, lam, quantity, cfg)
         cls_s = _classify_quantity(s_secs, lam, quantity, cfg)
         cls_t = _classify_quantity(t_secs, lam, quantity, cfg)

@@ -18,8 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chains import chain_report
-from .exact import Matrix, cached_image, json_object, matrix_from_obj, matrix_to_obj
-from .gq import GQ, GaussianRational, format_scalar, parse_scalar
+from .exact import (
+    Matrix,
+    cached_image,
+    json_array,
+    json_object,
+    matrix_from_obj,
+    matrix_to_obj,
+)
+from .gq import GQ, GaussianRational, as_gq, format_scalar, parse_scalar
 
 QUANTITIES = ("asc", "dsc", "alpha", "beta")
 
@@ -166,7 +173,7 @@ class BandedSpec(OperatorSpec):
         return Matrix(n, n, flat)
 
     def scaled(self, factor) -> "BandedSpec":
-        f = factor if isinstance(factor, GaussianRational) else GQ(factor)
+        f = as_gq(factor)
         return BandedSpec(tuple((o, s.scaled(f)) for o, s in self.diagonals))
 
     def is_zero(self) -> bool:
@@ -204,7 +211,7 @@ class FiniteRankSpec(OperatorSpec):
         return Matrix(n, n, flat)
 
     def scaled(self, factor) -> "FiniteRankSpec":
-        f = factor if isinstance(factor, GaussianRational) else GQ(factor)
+        f = as_gq(factor)
         return FiniteRankSpec(
             tuple((tuple(f * v for v in left), right) for left, right in self.terms)
         )
@@ -307,6 +314,10 @@ class DirectSumSpec(OperatorSpec):
         return {"variant": "direct_sum", "parts": [p.to_obj() for p in self.parts]}
 
 
+def _scalars(value, what: str) -> tuple[GaussianRational, ...]:
+    return tuple(parse_scalar(str(v)) for v in json_array(value, what))
+
+
 def spec_from_obj(obj: dict) -> OperatorSpec:
     try:
         variant = obj["variant"]
@@ -320,16 +331,16 @@ def spec_from_obj(obj: dict) -> OperatorSpec:
             for key, seq in json_object(obj.get("diagonals", {}), "diagonals").items():
                 seq = json_object(seq, f"diagonal {key}")
                 diags[int(key)] = EventuallyPeriodic(
-                    tuple(parse_scalar(str(v)) for v in seq.get("pre", [])),
-                    tuple(parse_scalar(str(v)) for v in seq.get("period", [])),
+                    _scalars(seq.get("pre", []), f"diagonal {key} pre"),
+                    _scalars(seq.get("period", []), f"diagonal {key} period"),
                 )
             return BandedSpec.from_dict(diags)
         if variant == "finite_rank":
             terms = []
             for term in obj.get("terms", []):
                 term = json_object(term, "finite_rank term")
-                left = tuple(parse_scalar(str(v)) for v in term["left"])
-                right = tuple(parse_scalar(str(v)) for v in term["right"])
+                left = _scalars(term["left"], "finite_rank term left")
+                right = _scalars(term["right"], "finite_rank term right")
                 terms.append((left, right))
             return FiniteRankSpec(tuple(terms))
         if variant == "sum":
@@ -353,10 +364,6 @@ def forward_shift() -> BandedSpec:
 
 def identity_tail() -> BandedSpec:
     return BandedSpec.from_dict({0: EventuallyPeriodic(period=(GQ(1),))})
-
-
-def realize(spec: OperatorSpec, n: int) -> Matrix:
-    return spec.realize(n)
 
 
 @dataclass(frozen=True)
@@ -393,7 +400,7 @@ def window_reports(
     spec: OperatorSpec, lam, cfg: TowerConfig = DEFAULT_CONFIG
 ) -> list[tuple[int, "object"]]:
     """Chain reports of the shifted sections across the window."""
-    lam = lam if isinstance(lam, GaussianRational) else GQ(lam)
+    lam = as_gq(lam)
     out = []
     for n in cfg.window():
         section = spec.realize(n).shifted(lam)
@@ -466,7 +473,7 @@ def tower_spectrum(
     entries = []
     seen = set()
     for lam in candidates:
-        lam = lam if isinstance(lam, GaussianRational) else GQ(lam)
+        lam = as_gq(lam)
         if lam in seen:
             continue
         seen.add(lam)
@@ -553,8 +560,16 @@ def is_power_finite_rank(
     certain = _certain_power_rank(spec)
     if certain is not None:
         return certain
+    return probed_power_rank({n: spec.realize(n) for n in cfg.window()}, cfg)
+
+
+def probed_power_rank(sections: dict[int, Matrix], cfg: TowerConfig) -> PowerRankVerdict:
+    """Rank probe of the powers of given window sections, exponents 1..bound.
+
+    The first exponent whose rank is the same on every section yields
+    likely-true; none doing so yields likely-false.
+    """
     window = cfg.window()
-    sections = {n: spec.realize(n) for n in window}
     seen = []
     for exponent in range(1, cfg.rank_power_bound + 1):
         ranks = tuple(

@@ -78,21 +78,6 @@ def test_verify_byte_identical_reruns():
     assert first.stdout == second.stdout and first.returncode == second.returncode
 
 
-def test_verify_threaded_matches_serial():
-    serial = run_cli("verify", "--theorem", "lemma35", "--seed", "0", "--trials", "10")
-    threaded = run_cli(
-        "verify",
-        "--theorem",
-        "lemma35",
-        "--seed",
-        "0",
-        "--trials",
-        "10",
-        env={"ASCDESC_THREADS": "4"},
-    )
-    assert serial.stdout == threaded.stdout
-
-
 def test_spectrum_dense(tmp_path):
     path = write(tmp_path, "jordan3.json", JORDAN3)
     result = run_cli("spectrum", path)
@@ -267,8 +252,16 @@ def test_gap_rejects_non_object_subspace_file(tmp_path):
         ({"variant": "banded", "diagonals": {"1": 5}}, "diagonal 1 must be a JSON object"),
         ({"variant": "finite_rank", "terms": [5]}, "term must be a JSON object"),
         ({"variant": "finite_rank", "terms": [{"left": ["1"]}]}, "'right'"),
+        (
+            {"variant": "banded", "diagonals": {"1": {"pre": [], "period": "11"}}},
+            "diagonal 1 period must be a JSON array",
+        ),
+        (
+            {"variant": "finite_rank", "terms": [{"left": "12", "right": ["1"]}]},
+            "term left must be a JSON array",
+        ),
     ],
-    ids=["diagonals", "diagonal", "term", "term-key"],
+    ids=["diagonals", "diagonal", "term", "term-key", "period-string", "left-string"],
 )
 def test_spectrum_tower_rejects_malformed_spec(tmp_path, spec, cause):
     path = write(tmp_path, "spec.json", spec)

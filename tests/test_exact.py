@@ -15,11 +15,10 @@ from ascdesc.exact import (
     invert,
     is_direct_sum,
     kernel_basis,
-    mat_pow,
     matrix_from_obj,
     matrix_to_obj,
+    power_chain,
     rref,
-    scalar_shift,
     solve_exact,
     subspace_intersection,
     subspace_sum,
@@ -200,10 +199,30 @@ def test_subspace_requires_canonical_basis():
 
 def test_mat_op_examples():
     j2 = Matrix.from_rows([[0, 1], [0, 0]])
-    assert mat_pow(j2, 2) == Matrix.zeros(2, 2)
-    assert scalar_shift(Matrix.identity(2), 1) == Matrix.zeros(2, 2)
-    assert mat_pow(Matrix.diag([2]), 3) == Matrix.diag([8])
-    assert mat_pow(j2, 0) == Matrix.identity(2)
+    assert j2.power(2) == Matrix.zeros(2, 2)
+    assert Matrix.identity(2).shifted(1) == Matrix.zeros(2, 2)
+    assert Matrix.diag([2]).power(3) == Matrix.diag([8])
+    assert j2.power(0) == Matrix.identity(2)
+
+
+@pytest.mark.parametrize("d", range(6))
+def test_power_matches_repeated_products(d):
+    for seed, ks in ((20_000 + d, range(d + 3)), (30_000 + d, range(d + 2, -1, -1))):
+        a = gq_matrix(d, d, seed)
+        products = [Matrix.identity(d)]
+        for _ in range(d + 2):
+            products.append(products[-1] @ a)
+        for k in list(ks) + list(reversed(ks)):  # growing then shrinking, or reverse
+            assert a.power(k) == products[k]
+
+
+def test_power_and_power_chain_share_one_chain():
+    a = gq_matrix(3, 3, 7)
+    assert power_chain(a, 5)[3] is a.power(3)
+    with pytest.raises(ValueError):
+        Matrix.zeros(2, 3).power(1)
+    with pytest.raises(ValueError):
+        a.power(-1)
 
 
 def test_dimension_mismatch():

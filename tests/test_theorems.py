@@ -219,14 +219,6 @@ def test_small_batches_have_no_failures(theorem):
     assert summary["pass"] >= 1
 
 
-def test_batch_parallel_matches_serial():
-    serial = run_batch("lemma35", 0, 8)
-    threaded = run_batch("lemma35", 0, 8, workers=4)
-    assert [dumps(v.to_obj()) for v in serial] == [
-        dumps(v.to_obj()) for v in threaded
-    ]
-
-
 def test_hypothesis_gating_never_fails():
     # shared-kernel commuting pairs violate the splitting hypothesis
     for theorem in ("theo34", "thC", "lemma36"):
@@ -267,6 +259,14 @@ def test_tower_th1_equality():
     s_spec, t_spec = _block_fixture()
     verdict = verify_tower("th1", s_spec, t_spec, [GQ(0), GQ(2)], CFG, p_bound=2)
     assert verdict.verdict == "pass", verdict.witness
+
+
+def test_tower_th1_shared_kernels():
+    # B and 2B share every kernel N(B^p), so splitting fails only at 0
+    b = backward_shift()
+    verdict = verify_tower("th1", b, b.scaled(GQ(2)), [GQ(0), GQ(2)], CFG, p_bound=2)
+    in_r = {row["lambda"]: row["in_R"] for row in verdict.witness["candidates"]}
+    assert in_r == {"0": True, "2": False}
 
 
 def test_tower_nov_equality():

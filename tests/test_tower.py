@@ -15,7 +15,6 @@ from ascdesc.tower import (
     forward_shift,
     identity_tail,
     is_power_finite_rank,
-    realize,
     spec_from_obj,
     tower_spectrum,
     tower_verdict,
@@ -30,18 +29,18 @@ CFG = TowerConfig(n0=8, step=4, count=3)
 
 
 def test_realize_backward_shift():
-    assert realize(backward_shift(), 3) == Matrix.from_rows(
+    assert backward_shift().realize(3) == Matrix.from_rows(
         [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
     )
 
 
 def test_realize_forward_shift():
-    assert realize(forward_shift(), 2) == Matrix.from_rows([[0, 0], [1, 0]])
+    assert forward_shift().realize(2) == Matrix.from_rows([[0, 0], [1, 0]])
 
 
 def test_realize_direct_sum_blocks():
     spec = DirectSumSpec((DenseSpec(J2), backward_shift()))
-    m = realize(spec, 5)
+    m = spec.realize(5)
     assert m.at(0, 1) == GQ(1)  # dense block
     assert m.at(1, 2) == GQ(0)  # block boundary
     assert m.at(2, 3) == GQ(1) and m.at(3, 4) == GQ(1)  # shift tail
@@ -49,9 +48,9 @@ def test_realize_direct_sum_blocks():
 
 def test_realize_too_small():
     with pytest.raises(ValueError):
-        realize(DenseSpec(J3), 2)
+        DenseSpec(J3).realize(2)
     with pytest.raises(ValueError):
-        realize(DirectSumSpec((DenseSpec(J3), backward_shift())), 3)
+        DirectSumSpec((DenseSpec(J3), backward_shift())).realize(3)
 
 
 def test_realization_consistency():
@@ -62,8 +61,8 @@ def test_realization_consistency():
         SumSpec((backward_shift(), identity_tail())),
         FiniteRankSpec((((GQ(1), GQ(2)), (GQ(1),)),)),
     ):
-        small = realize(spec, 8)
-        large = realize(spec, 8 + CFG.step)
+        small = spec.realize(8)
+        large = spec.realize(8 + CFG.step)
         assert all(
             small.at(i, j) == large.at(i, j) for i in range(8) for j in range(8)
         )
@@ -78,7 +77,7 @@ def test_eventually_periodic_values():
 
 def test_backward_shift_kernel_chain_closed_form():
     for n in CFG.window():
-        rep = chain_report(realize(backward_shift(), n))
+        rep = chain_report(backward_shift().realize(n))
         assert rep.kernel_dims == tuple(range(n + 1)) + (n,)
 
 
@@ -233,7 +232,7 @@ def test_spec_json_round_trip():
 def test_documented_backward_shift_json():
     obj = {"variant": "banded", "diagonals": {"1": {"pre": [], "period": ["1"]}}}
     spec = spec_from_obj(obj)
-    assert spec.realize(3) == realize(backward_shift(), 3)
+    assert spec.realize(3) == backward_shift().realize(3)
     assert spec.to_obj() == obj
 
 
