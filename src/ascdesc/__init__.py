@@ -77,7 +77,6 @@ from .theorems import (
     check_H1,
     check_H2,
     check_hypotheses,
-    in_M_set,
     in_N_set,
     in_R_set,
     instance_for,

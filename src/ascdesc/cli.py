@@ -309,7 +309,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.verb](args, argv)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # one line, whatever line breaks the message quotes from the input
+        print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)
         return EXIT_USAGE
 
 

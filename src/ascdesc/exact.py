@@ -544,12 +544,12 @@ def matrix_from_obj(obj: dict) -> Matrix:
         rows = json_integer(obj["rows"], "rows")
         cols = json_integer(obj["cols"], "cols")
         field = obj.get("field", "gq")
-        raw = obj["entries"]
+        raw = json_array(obj["entries"], "entries")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     if field != "gq":
         raise ValueError(f"expected field 'gq', got {field!r}")
-    if len(raw) != rows or any(len(r) != cols for r in raw):
+    if len(raw) != rows or any(len(json_array(r, "entries row")) != cols for r in raw):
         raise ValueError("entry grid does not match rows x cols")
     flat = [parse_scalar(str(v)) for row in raw for v in row]
     return Matrix(rows, cols, flat)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import Matrix, Subspace, json_integer
+from .exact import Matrix, Subspace, json_array, json_integer
 
 _ORTHO_TOL = 1e-12
 
@@ -99,16 +99,16 @@ def array_from_obj(obj: dict) -> np.ndarray:
         rows = json_integer(obj["rows"], "rows")
         cols = json_integer(obj["cols"], "cols")
         field = obj.get("field", "f64")
-        raw = obj["entries"]
+        raw = json_array(obj["entries"], "entries")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     if field != "f64":
         raise ValueError(f"expected field 'f64', got {field!r}")
-    if len(raw) != rows or any(len(r) != cols for r in raw):
+    if len(raw) != rows or any(len(json_array(r, "entries row")) != cols for r in raw):
         raise ValueError("entry grid does not match rows x cols")
     try:
         a = np.array([[float(v) for v in row] for row in raw], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"f64 entries must be numbers: {exc}") from exc
     if not np.isfinite(a).all():
         raise ValueError("f64 entries must be finite")
@@ -150,11 +150,6 @@ def _rank_from_singulars(s: np.ndarray, tol: Tolerance) -> int:
         return 0
     cutoff = tol.rank_rel * float(s[0])
     return int(np.sum(s > cutoff))
-
-
-def float_rank(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
-    s = np.linalg.svd(np.asarray(a), compute_uv=False)
-    return _rank_from_singulars(s, tol)
 
 
 def svd_views(

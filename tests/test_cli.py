@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from ascdesc.cli import main
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -200,12 +206,46 @@ def test_analyze_zero_denominator_exits_2(tmp_path):
     assert_one_error_line(run_cli("analyze", path), "denominator")
 
 
-@pytest.mark.parametrize("exponent", ["inf", "nan", None, [1]])
+@pytest.mark.parametrize("exponent", ["inf", "nan", None, [1], True, "2"])
 def test_converge_rejects_bad_exponent(tmp_path, exponent):
     seq = json.loads(json.dumps(RESOLVENT_SEQ))
     seq["perturbation"]["exponent"] = exponent
     path = write(tmp_path, "seq.json", seq)
     assert_one_error_line(run_cli("converge", path), "exponent")
+
+
+@pytest.mark.parametrize("seed", [True, 2.7, "2", None])
+def test_converge_seed_must_be_an_integer(tmp_path, seed):
+    seq = json.loads(json.dumps(RESOLVENT_SEQ))
+    seq["perturbation"] = {"rule": "seeded-random-decaying", "exponent": 1, "seed": seed}
+    path = write(tmp_path, "seq.json", seq)
+    assert_one_error_line(run_cli("converge", path), "perturbation seed must be an integer")
+
+
+@pytest.mark.parametrize(
+    "entries, cause",
+    [(5, "entries must be a JSON array"), (["12", "34"], "entries row must be a JSON array")],
+    ids=["number", "strings"],
+)
+def test_entries_must_be_json_arrays(tmp_path, entries, cause):
+    m = write(tmp_path, "m.json", {"rows": 2, "cols": 2, "field": "gq", "entries": entries})
+    assert_one_error_line(run_cli("analyze", m), cause)
+    y = write(tmp_path, "y.json", {"rows": 2, "cols": 2, "field": "f64", "entries": entries})
+    assert_one_error_line(run_cli("gap", y, y), cause)
+
+
+@pytest.mark.parametrize("lam", ["0", "1"])
+def test_converge_probe_needs_square_base(tmp_path, lam):
+    rect = {"rows": 2, "cols": 3, "field": "f64", "entries": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}
+    seq = {
+        "base": rect,
+        "perturbation": {"rule": "scaled", "exponent": 1, "matrix": rect},
+        "n_range": [10, 100, 10],
+    }
+    path = write(tmp_path, "seq.json", seq)
+    assert run_cli("converge", path).returncode == 0  # the trajectory needs no square
+    result = run_cli("converge", path, "--probe", "T1", "--lambda", lam)
+    assert_one_error_line(result, "dense probes need a square base matrix, got 2x3")
 
 
 @pytest.mark.parametrize(
@@ -268,6 +308,12 @@ def test_spectrum_tower_rejects_malformed_spec(tmp_path, spec, cause):
     assert_one_error_line(run_cli("spectrum", path, "--tower", "--candidates", "0"), cause)
 
 
+def test_error_quoting_a_line_break_stays_one_line(tmp_path):
+    path = write(tmp_path, "spec.json", {"variant": "banded", "diagonals": {"1\n2": None}})
+    result = run_cli("spectrum", path, "--tower", "--candidates", "0")
+    assert_one_error_line(result, "diagonal 1 2 must be a JSON object")
+
+
 @pytest.mark.parametrize("lam", ["nan", "inf"])
 def test_converge_rejects_non_finite_lambda(tmp_path, lam):
     path = write(tmp_path, "seq.json", RESOLVENT_SEQ)
@@ -279,6 +325,16 @@ def test_gap_rejects_non_finite_entries(tmp_path, entry):
     y = write(tmp_path, "y.json", {"rows": 1, "cols": 2, "field": "f64", "entries": [[entry, 0.0]]})
     z = write(tmp_path, "z.json", {"rows": 1, "cols": 2, "field": "f64", "entries": [[1.0, 1.0]]})
     assert_one_error_line(run_cli("gap", y, z), "f64 entries")
+
+
+def test_integers_beyond_float_range_exit_2(tmp_path):
+    huge = 10**400  # a JSON integer that float() cannot hold
+    y = write(tmp_path, "y.json", {"rows": 1, "cols": 2, "field": "f64", "entries": [[huge, 0.0]]})
+    assert_one_error_line(run_cli("gap", y, y), "f64 entries must be numbers")
+    seq = json.loads(json.dumps(RESOLVENT_SEQ))
+    seq["perturbation"]["exponent"] = huge
+    path = write(tmp_path, "seq.json", seq)
+    assert_one_error_line(run_cli("converge", path), "perturbation exponent must be finite")
 
 
 def test_missing_file_exits_2():
@@ -301,3 +357,83 @@ def test_unknown_theorem_exits_2():
 def test_version_flag():
     result = run_cli("--version")
     assert result.returncode == 0 and result.stdout.startswith("ascdesc")
+
+
+# --- hostile input ----------------------------------------------------------
+
+# Integers stay within -2..60, so an n_range drawn from them ends by 60
+# and no dimension can exceed what the entries strategy can fill (3).
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 60)
+    | st.floats()
+    | st.text(alphabet="0123456789/+-i.e ", max_size=6)
+    | st.text(max_size=3)
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda kids: (
+        st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3)
+    ),
+    max_leaves=9,
+)
+GRIDS = st.lists(st.lists(SCALARS, max_size=3), max_size=3)
+HOSTILE = JSON_VALUES | GRIDS
+
+F64 = {"rows": 2, "cols": 2, "field": "f64", "entries": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+def _overrides(keys):
+    return st.dictionaries(st.sampled_from(keys), HOSTILE, min_size=1, max_size=len(keys))
+
+
+def _analyze(o):
+    return ["analyze", "{0}"], [dict(JORDAN3, **o)]
+
+
+def _gap(o):
+    return ["gap", "{0}", "{1}"], [dict(F64, **o), F64]
+
+
+def _converge(o):
+    pert = {"rule": "seeded-random-decaying", "exponent": 1, "seed": 3}
+    pert.update({k: v for k, v in o.items() if k in ("seed", "exponent")})
+    seq = {"base": F64, "perturbation": pert, "n_range": o.get("n_range", [10, 60, 10])}
+    return ["converge", "{0}", "--format", "csv"], [seq]
+
+
+def _tower(o):
+    diagonal = {"pre": o.get("pre", []), "period": o.get("period", ["1"])}
+    spec = {"variant": "banded", "diagonals": o.get("diagonals", {"1": diagonal})}
+    return ["spectrum", "{0}", "--tower", "--candidates", "0,1", "--window", "2,1,2"], [spec]
+
+
+HOSTILE_CASES = {
+    "analyze": (_analyze, ("rows", "cols", "entries")),
+    "gap": (_gap, ("rows", "cols", "entries")),
+    "converge": (_converge, ("seed", "exponent", "n_range")),
+    "tower": (_tower, ("pre", "period", "diagonals")),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(HOSTILE_CASES))
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_hostile_input_exits_0_or_2_with_one_error_line(verb, data):
+    build, keys = HOSTILE_CASES[verb]
+    argv, files = build(data.draw(_overrides(keys), label="overrides"))
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, obj in enumerate(files):
+            paths.append(os.path.join(tmp, f"{i}.json"))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                json.dump(obj, fh)
+        argv = [a.format(*paths) for a in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()

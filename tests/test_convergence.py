@@ -96,8 +96,30 @@ def test_upper_kernel_converges_for_every_sequence():
 def test_probe_scaling_lem1_passes():
     verdict = probe(SCALING, "lem1", GQ(0))
     assert verdict.verdict == "pass"
-    machinery = verdict.witness["intersection_condition"]
-    assert machinery["limit"] is False and not any(machinery["tail"])
+    # finite dimension decides the chain conditions: labelled, not computed
+    label = verdict.witness["chain_conditions"]
+    assert label.startswith("met:") and "Fitting" in label
+    assert "intersection_condition" not in verdict.witness
+    assert verdict.witness["machinery_failures"] == []
+
+
+@pytest.mark.parametrize("proposition", ["lem2", "lem4", "T1"])
+def test_probe_badly_scaled_base_does_not_fail_on_rounding(proposition):
+    # singular values 1e10 and 1e-16: a float A^d of these matrices puts
+    # the chain conditions of the limit and the tail on different sides
+    # of the rank cut, which once failed these probes although every
+    # sub-lemma converges
+    import numpy as np
+
+    spec = SequenceSpec(
+        np.array([[1.0, 1e10], [0.0, 1e-6]]),
+        Perturbation(exponent=1.0, direction=np.diag([0.0, 1e6])),
+        (10, 500, 10),
+    )
+    verdict = probe(spec, proposition, GQ(0))
+    sub_lemmas = verdict.witness["sub_lemmas"].values()
+    assert all(entry["classification"] == "converged" for entry in sub_lemmas)
+    assert verdict.verdict != "fail", verdict.note
 
 
 def test_probe_resolvent_ker_lower_fails():

@@ -9,7 +9,6 @@ from ascdesc.theorems import (
     check_H1,
     check_H2,
     check_hypotheses,
-    in_M_set,
     in_N_set,
     in_R_set,
     instance_for,
@@ -76,13 +75,6 @@ def test_R_set_membership():
     member = in_R_set(J2, J2, 0)
     assert member.member  # finite ascent and the splitting fails
     assert in_R_set(S_BLOCK, T_BLOCK, 0).member is False
-
-
-def test_M_set_always_false_dense():
-    result = in_M_set(J2, J2, 0)
-    assert not result.member
-    assert "finite" in result.certificate
-    assert result.details["codim_S"] >= 0
 
 
 def test_N_set_membership():
