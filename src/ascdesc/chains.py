@@ -18,10 +18,13 @@ from .exact import (
     block_diag,
     cached_image,
     cached_kernel,
+    echelon,
     image_basis,
+    integer_rows,
     kernel_basis,
     power_chain,
-    rref,
+    reduced_echelon,
+    row_times,
     solve_exact,
     subspace_intersection,
     subspace_sum,
@@ -58,22 +61,25 @@ class ChainReport:
 def chain_report(t: Matrix) -> ChainReport:
     """Kernel and range chains of T up to stabilization.
 
-    The rows of ``image`` span the row space of T^(k+1), whose dimension
-    is rank(T^(k+1)); multiplying its reduced basis by T spans the next
-    one.  So each power costs one elimination of a rank(T^k) x d matrix.
+    With D the common denominator of T, rank(T^k) = rank((DT)^k).  The
+    canonical reduced rows spanning the row space of (DT)^k, times the
+    sparse rows of DT, span the row space of (DT)^(k+1).  So each power
+    costs one forward elimination of rank(T^k) rows, plus a
+    back-substitution only when the chain has not yet stabilized.
     """
     if not t.is_square:
         raise ValueError("chain_report requires a square matrix")
     d = t.rows
+    t_rows = integer_rows(t)
     range_dims = [d]
-    image = t
+    rows = t_rows
     for _ in range(d + 1):
-        reduced, pivots = rref(image)
-        r = len(pivots)
+        basis = echelon(rows)
+        r = len(basis)
         range_dims.append(r)
         if r == range_dims[-2]:
             break
-        image = Matrix(r, d, reduced.entries[: r * d]) @ t
+        rows = [row_times(row, t_rows) for row in reduced_echelon(basis)]
     else:
         raise RuntimeError("chain failed to stabilize by the ambient dimension")
     kernel_dims = tuple(d - dim for dim in range_dims)

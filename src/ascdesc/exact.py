@@ -4,12 +4,20 @@ Subspaces are canonicalized by the reduced row-echelon form of a row
 basis, so two subspaces are equal as sets exactly when their stored
 bases are identical entry by entry.  Every operation here is exact;
 floating-point counterparts live in :mod:`ascdesc.numeric`.
+
+One elimination kernel serves ``rank``, ``rref`` and
+:func:`ascdesc.chains.chain_report`.  It clears the common denominator
+once and eliminates sparse rows of Gaussian integers, keeping each pivot
+row as the unique representative of its line over Q(i): positive
+integer pivot, coprime components.  Rank is the forward pass alone;
+``rref`` adds a back-substitution and one ``Fraction`` per nonzero entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Iterable, Sequence
 
 from sympy.polys.domains import ZZ_I
@@ -233,42 +241,135 @@ def block_diag(*blocks: Matrix) -> Matrix:
     return Matrix(rows, cols, flat)
 
 
+# ---------------------------------------------------------------------------
+# Elimination: sparse Gaussian-integer rows in canonical form
+#
+# A Row maps a column to the nonzero Gaussian integer (re, im) there.
+# The canonical representative of a line is unique, so a pivot row's
+# entries are as small as its line allows, whatever order the rows were
+# reduced in; without it, entries grow with every elimination step.
+
+Row = dict[int, tuple[int, int]]
+
+
+def integer_rows(a: Matrix) -> list[Row]:
+    """Sparse rows of D*A, D the common denominator of A's entries."""
+    den = common_denominator(a.entries)
+    rows = []
+    for i in range(a.rows):
+        rows.append({
+            j: (v.re_num * (den // v.re_den), v.im_num * (den // v.im_den))
+            for j, v in enumerate(a.row(i))
+            if v
+        })
+    return rows
+
+
+def _primitive(row: Row) -> Row:
+    """row divided by the gcd of its integer components."""
+    g = gcd(*(v for xy in row.values() for v in xy))
+    if g != 1:
+        row = {j: (x // g, y // g) for j, (x, y) in row.items()}
+    return row
+
+
+def _canonical(row: Row) -> Row:
+    """The canonical representative of row's line; row must be nonzero."""
+    a, b = row[min(row)]
+    if b:  # times conj(lead): the leading entry becomes a*a + b*b > 0
+        row = {j: (x * a + y * b, y * a - x * b) for j, (x, y) in row.items()}
+    elif a < 0:
+        row = {j: (-x, -y) for j, (x, y) in row.items()}
+    return _primitive(row)
+
+
+def _reduce(row: Row, pivot_row: Row, col: int) -> Row:
+    """P*row - row[col]*pivot_row, which is zero at col; P = pivot_row[col] > 0."""
+    p = pivot_row[col][0]
+    a, b = row[col]
+    out = {j: (p * x, p * y) for j, (x, y) in row.items()}
+    for j, (x, y) in pivot_row.items():
+        u, v = out.get(j, (0, 0))
+        u -= a * x - b * y
+        v -= a * y + b * x
+        if u or v:
+            out[j] = (u, v)
+        else:
+            del out[j]
+    return out
+
+
+def echelon(rows: Iterable[Row]) -> list[Row]:
+    """Canonical echelon basis of the rows' span, by increasing pivot column.
+
+    The forward pass of Gaussian elimination: each row is reduced at its
+    leading column by the pivot row found there, until it vanishes or
+    leads in a new column.  The count of rows returned is the rank.  A
+    row is divided by its content after each step and made canonical
+    once, when it becomes a pivot row.
+    """
+    pivots: dict[int, Row] = {}
+    for row in rows:
+        while row:
+            col = min(row)
+            pivot_row = pivots.get(col)
+            if pivot_row is None:
+                pivots[col] = _canonical(row)
+                break
+            row = _reduce(row, pivot_row, col)
+            if row:
+                row = _primitive(row)
+    return [pivots[c] for c in sorted(pivots)]
+
+
+def reduced_echelon(rows: list[Row]) -> list[Row]:
+    """Back-substitution: the canonical rows of the reduced row-echelon form.
+
+    ``rows`` is an echelon basis as :func:`echelon` returns it.  Row k
+    clears its pivot column from every row above it, bottom up, so each
+    row is zero in every pivot column but its own.
+    """
+    rows = list(rows)
+    for k in range(len(rows) - 1, 0, -1):
+        pivot_row = rows[k]
+        col = min(pivot_row)
+        for i in range(k):
+            if col in rows[i]:
+                # the positive lead of row i is only scaled by P > 0
+                rows[i] = _primitive(_reduce(rows[i], pivot_row, col))
+    return rows
+
+
+def row_times(row: Row, rows: Sequence[Row]) -> Row:
+    """The row vector times the matrix whose sparse rows are ``rows``."""
+    out: dict[int, tuple[int, int]] = {}
+    for t, (a, b) in row.items():
+        for j, (x, y) in rows[t].items():
+            u, v = out.get(j, (0, 0))
+            out[j] = (u + a * x - b * y, v + a * y + b * x)
+    return {j: uv for j, uv in out.items() if uv != (0, 0)}
+
+
 def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row-echelon form and its pivot columns.
 
     The result is the unique RREF of ``a``; pivot columns are strictly
-    increasing.
+    increasing.  Each canonical row divided by its pivot P is a row of it.
     """
-    m = [list(a.row(i)) for i in range(a.rows)]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(a.cols):
-        piv = None
-        for r in range(rank, a.rows):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        if pv != _ONE:
-            inv = _ONE / pv
-            m[rank] = [v * inv if v else v for v in m[rank]]
-        prow = m[rank]
-        for r in range(a.rows):
-            if r != rank:
-                f = m[r][col]
-                if f:
-                    row = m[r]
-                    m[r] = [x - f * y if y else x for x, y in zip(row, prow)]
+    flat = [_ZERO] * (a.rows * a.cols)
+    pivots = []
+    for i, row in enumerate(reduced_echelon(echelon(integer_rows(a)))):
+        col = min(row)
+        p = row[col][0]
         pivots.append(col)
-        rank += 1
-    return Matrix(a.rows, a.cols, [v for row in m for v in row]), tuple(pivots)
+        base = i * a.cols
+        for j, (x, y) in row.items():
+            flat[base + j] = GQ(Fraction(x, p), Fraction(y, p))
+    return Matrix(a.rows, a.cols, flat), tuple(pivots)
 
 
 def rank(a: Matrix) -> int:
-    return len(rref(a)[1])
+    return len(echelon(integer_rows(a)))
 
 
 class Subspace:
@@ -459,10 +560,7 @@ def char_poly(a: Matrix) -> tuple[GaussianRational, ...]:
         raise ValueError("characteristic polynomial requires a square matrix")
     n = a.rows
     den = common_denominator(a.entries)
-    rows = [
-        [ZZ_I(v.re_num * (den // v.re_den), v.im_num * (den // v.im_den)) for v in a.row(i)]
-        for i in range(n)
-    ]
+    rows = [[ZZ_I(*row.get(j, (0, 0))) for j in range(n)] for row in integer_rows(a)]
     coeffs = DomainMatrix(rows, (n, n), ZZ_I).charpoly()
     return tuple(
         GQ(Fraction(int(c.x), den ** (n - k)), Fraction(int(c.y), den ** (n - k)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Union
@@ -172,19 +173,17 @@ def parse_scalar(text: str) -> GaussianRational:
     return GaussianRational(_parse_rat(re_part), _parse_rat(im_part))
 
 
+_RAT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _parse_rat(text: str) -> Fraction:
-    if not text:
-        raise ValueError("empty rational literal")
-    if "/" in text:
-        num, _, den = text.partition("/")
-        if den.startswith(("+", "-")):
-            raise ValueError(f"denominator must be a positive integer: {text!r}")
-        if int(den) == 0:
-            raise ValueError(f"zero denominator: {text!r}")
-        value = Fraction(int(num), int(den))
-    else:
-        value = Fraction(int(text))
-    return value
+    """``[+-]?[0-9]+(/[0-9]+)?`` with ASCII digits only, as a Fraction."""
+    if not _RAT.fullmatch(text):
+        raise ValueError(f"not a rational literal: {text!r}")
+    num, _, den = text.partition("/")
+    if den and int(den) == 0:
+        raise ValueError(f"zero denominator: {text!r}")
+    return Fraction(int(num), int(den or 1))
 
 
 def format_scalar(value: GaussianRational) -> str:

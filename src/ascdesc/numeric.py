@@ -9,6 +9,7 @@ All norms are Euclidean/spectral.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,9 +107,12 @@ def array_from_obj(obj: dict) -> np.ndarray:
         raise ValueError(f"expected field 'f64', got {field!r}")
     if len(raw) != rows or any(len(json_array(r, "entries row")) != cols for r in raw):
         raise ValueError("entry grid does not match rows x cols")
+    if not set(map(type, chain.from_iterable(raw))) <= {int, float}:  # bool is an int subclass
+        bad = next(v for row in raw for v in row if type(v) not in (int, float))
+        raise ValueError(f"f64 entries must be JSON numbers, got {bad!r}")
     try:
-        a = np.array([[float(v) for v in row] for row in raw], dtype=np.float64)
-    except (OverflowError, TypeError, ValueError) as exc:
+        a = np.array(raw, dtype=np.float64)
+    except OverflowError as exc:
         raise ValueError(f"f64 entries must be numbers: {exc}") from exc
     if not np.isfinite(a).all():
         raise ValueError("f64 entries must be finite")

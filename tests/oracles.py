@@ -1,12 +1,15 @@
 """Independent oracles for the test suite.
 
-Rank decisions here never touch the library's elimination code: the
-matrix is cleared to Gaussian-integer entries and ranked by fraction-free
-Bareiss condensation with exact integer division, and powers are formed
-by a local integer matrix product.  Chain indices derived this way give
-a second opinion on ascent and descent.  Eigenvalues get a second
-opinion from sympy's own characteristic polynomial factored over QQ_I.
-"""
+The library's exact core is fraction-free too, so the rank oracle here is
+kept a separate implementation that shares no code with it.  The core
+(``ascdesc.exact.echelon``) eliminates sparse Gaussian-integer rows and
+keeps each pivot row as the canonical representative of its line over
+Q(i).  The oracle clears the matrix to dense Gaussian-integer entries on
+its own and ranks it by Bareiss condensation (Bareiss 1968) with exact
+Gaussian-integer division; powers are formed by a local integer matrix
+product.  Chain indices derived this way give a second opinion on ascent
+and descent.  Eigenvalues get a second opinion from sympy's own
+characteristic polynomial factored over QQ_I."""
 
 from __future__ import annotations
 

@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings
 
+from ascdesc import chains
 from ascdesc.chains import (
     chain_report,
     compression,
@@ -23,6 +25,7 @@ from ascdesc.theorems import random_matrix, _random_unimodular
 import random
 
 from oracles import brute_chain
+from test_exact import assert_reduced, dense_matrix, gq_matrices
 
 J2 = Matrix.from_rows([[0, 1], [0, 0]])
 J3 = Matrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
@@ -63,6 +66,48 @@ def test_chain_matches_oracle():
         rep = chain_report(t)
         _, _, asc, dsc = brute_chain(t)
         assert rep.asc == asc and rep.dsc == dsc
+
+
+@given(gq_matrices(square=True))
+@settings(max_examples=60, deadline=None)
+def test_chain_report_agrees_with_oracle(t):
+    rep = chain_report(t)
+    kernel_dims, ranks, asc, dsc = brute_chain(t)
+    n = len(rep.range_dims)
+    assert rep.range_dims == tuple(ranks[:n]) and rep.kernel_dims == tuple(kernel_dims[:n])
+    assert (rep.asc, rep.dsc) == (asc, dsc) and ranks[n - 1] == ranks[-1]
+
+
+def _dense_nilpotent(d):
+    """V N V^-1 with N a 0/1 superdiagonal (some ones dropped), V dense."""
+    rng = random.Random(f"nilpotent:{d}")
+    n = Matrix(d, d, [int(j == i + 1 and rng.random() < 0.8) for i in range(d) for j in range(d)])
+    v = dense_matrix(d, d, f"similarity:{d}")
+    return n, v @ n @ invert(v)
+
+
+@pytest.mark.parametrize("d", [16, 20])
+def test_dense_nilpotent_chain_carries_canonical_reduced_rows(d, monkeypatch):
+    carried = []
+    real_echelon, real_row_times = chains.echelon, chains.row_times
+
+    def echelon(rows):
+        carried.append([])
+        return real_echelon(rows)
+
+    def row_times(row, rows):
+        carried[-1].append(row)
+        return real_row_times(row, rows)
+
+    monkeypatch.setattr(chains, "echelon", echelon)
+    monkeypatch.setattr(chains, "row_times", row_times)
+    n, t = _dense_nilpotent(d)
+    rep = chain_report(t)
+    kernel_dims, ranks, asc, dsc = brute_chain(n)  # similar matrices share chains
+    assert rep.range_dims == tuple(ranks[: asc + 2]) and (rep.asc, rep.dsc) == (asc, dsc)
+    assert len(carried) == asc + 1 and not carried[-1]
+    for rows in carried[:-1]:
+        assert_reduced(rows)
 
 
 def test_asc_equals_dsc_in_finite_dimension():

@@ -320,7 +320,7 @@ def test_converge_rejects_non_finite_lambda(tmp_path, lam):
     assert_one_error_line(run_cli("converge", path, "--probe", "T1", "--lambda", lam), "--lambda")
 
 
-@pytest.mark.parametrize("entry", [float("nan"), "inf", None])
+@pytest.mark.parametrize("entry", [float("nan"), "inf", None, True, "2"])
 def test_gap_rejects_non_finite_entries(tmp_path, entry):
     y = write(tmp_path, "y.json", {"rows": 1, "cols": 2, "field": "f64", "entries": [[entry, 0.0]]})
     z = write(tmp_path, "z.json", {"rows": 1, "cols": 2, "field": "f64", "entries": [[1.0, 1.0]]})

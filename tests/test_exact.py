@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -11,17 +12,22 @@ from ascdesc.exact import (
     block_diag,
     char_poly,
     codim,
+    echelon,
     image_basis,
+    integer_rows,
     invert,
     is_direct_sum,
     kernel_basis,
     matrix_from_obj,
     matrix_to_obj,
     power_chain,
+    rank,
+    reduced_echelon,
     rref,
     solve_exact,
     subspace_intersection,
     subspace_sum,
+    vstack,
 )
 from ascdesc.gq import GQ
 
@@ -72,6 +78,119 @@ def test_rref_idempotent(rows, cols, seed):
 def test_rank_matches_bareiss_oracle(rows, cols, seed):
     m = gq_matrix(rows, cols, seed)
     assert len(rref(m)[1]) == oracle_rank(m)
+
+
+# --- the elimination kernel against the oracle --------------------------
+
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_entries = st.builds(GQ, _rationals, _rationals)
+_sparse_entries = st.one_of(st.just(GQ(0)), st.just(GQ(0)), st.just(GQ(0)), _entries)
+
+
+@st.composite
+def _filled(draw, rows, cols, entries):
+    return Matrix(rows, cols, draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols)))
+
+
+@st.composite
+def gq_matrices(draw, square=False, max_dim=10):
+    """Dense, sparse, or rank-deficient A*B Gaussian-rational matrices."""
+    rows = draw(st.integers(min_value=0, max_value=max_dim))
+    cols = rows if square else draw(st.integers(min_value=0, max_value=max_dim))
+    kind = draw(st.sampled_from(["dense", "sparse", "product"]))
+    if kind == "product":
+        inner = draw(st.integers(min_value=0, max_value=max(0, min(rows, cols) - 1)))
+        return draw(_filled(rows, inner, _entries)) @ draw(_filled(inner, cols, _entries))
+    return draw(_filled(rows, cols, _entries if kind == "dense" else _sparse_entries))
+
+
+def dense_matrix(rows, cols, seed):
+    """Entries with numerators and denominators up to 9 in both parts."""
+    rng = random.Random(f"dense:{seed}")
+
+    def rat():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    return Matrix(rows, cols, [GQ(rat(), rat()) for _ in range(rows * cols)])
+
+
+def assert_canonical(rows):
+    """Each row leads with a positive integer and has no common factor."""
+    for row in rows:
+        re, im = row[min(row)]
+        assert im == 0 and re > 0
+        assert gcd(*(v for xy in row.values() for v in xy)) == 1
+
+
+def assert_reduced(rows):
+    """Canonical rows with increasing pivots, each zero in the others' pivots."""
+    assert_canonical(rows)
+    pivots = [min(row) for row in rows]
+    assert pivots == sorted(set(pivots))
+    for row in rows:
+        assert sum(p in row for p in pivots) == 1
+
+
+def assert_rref_of(m):
+    reduced, pivots = rref(m)
+    r = len(pivots)
+    assert (reduced.rows, reduced.cols) == (m.rows, m.cols)
+    assert list(pivots) == sorted(set(pivots))
+    for i, p in enumerate(pivots):
+        assert reduced.at(i, p) == GQ(1)
+        assert not any(reduced.at(i, j) for j in range(p))
+        assert all(not reduced.at(k, p) for k in range(m.rows) if k != i)
+    assert not any(reduced.entries[r * m.cols :])
+    # same row space: stacking adds nothing to either rank
+    assert oracle_rank(m) == r == oracle_rank(reduced) == oracle_rank(vstack(m, reduced))
+    assert rank(m) == r
+
+
+@given(gq_matrices())
+@settings(max_examples=100, deadline=None)
+def test_rank_and_rref_agree_with_oracle(m):
+    assert_rref_of(m)
+
+
+@given(gq_matrices())
+@settings(max_examples=60, deadline=None)
+def test_elimination_rows_are_canonical_and_reduced(m):
+    basis = echelon(integer_rows(m))
+    assert_canonical(basis)
+    assert [min(row) for row in basis] == sorted({min(row) for row in basis})
+    assert_reduced(reduced_echelon(basis))
+
+
+@given(gq_matrices(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_reduced_rows_ignore_row_order_and_scale(m, rnd):
+    """The canonical reduced rows depend on the row space alone."""
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    rnd.shuffle(rows)
+    scales = [GQ(rnd.choice([-3, 2, 5]), rnd.choice([-1, 0, 4])) for _ in rows]
+    other = Matrix(m.rows, m.cols, [c * v for c, row in zip(scales, rows) for v in row])
+    want = reduced_echelon(echelon(integer_rows(m)))
+    assert reduced_echelon(echelon(integer_rows(other))) == want
+
+
+def test_single_row_becomes_its_canonical_representative():
+    assert echelon([{0: (1, 1), 2: (3, 0)}]) == [{0: (2, 0), 2: (3, -3)}]
+    assert echelon([{1: (-4, 0), 3: (6, 2)}]) == [{1: (2, 0), 3: (-3, -1)}]
+    assert echelon([{}, {}]) == []
+
+
+@pytest.mark.parametrize("d", [8, 12])
+def test_dense_rref_entries_stay_within_the_hadamard_bound(d):
+    """Canonical reduced rows of D*A are P*R_i, P | |det M|^2, so each
+    component is at most H^2, H the product of the row norms of D*A."""
+    m = dense_matrix(d, d, d)
+    assert_rref_of(m)
+    h2 = 1
+    for row in integer_rows(m):
+        h2 *= sum(x * x + y * y for x, y in row.values()) or 1  # zero rows drop out
+    rows = reduced_echelon(echelon(integer_rows(m)))
+    assert_reduced(rows)
+    assert all(x * x + y * y <= h2 * h2 for row in rows for x, y in row.values())
 
 
 # --- kernel and image ---------------------------------------------------

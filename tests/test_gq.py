@@ -1,7 +1,8 @@
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ascdesc.gq import GQ, format_scalar, parse_scalar
@@ -33,10 +34,30 @@ def test_parse_scalar(text, re, im):
     assert v.re == Fraction(re) and v.im == Fraction(im)
 
 
-@pytest.mark.parametrize("bad", ["", "i2", "1//2", "3/-4", "1+2", "x", "1/0"])
+@pytest.mark.parametrize(
+    "bad", ["", "i2", "1//2", "3/-4", "1+2", "x", "1/0", "1_0", "\u0661", "1/2_0"]
+)
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         parse_scalar(bad)
+
+
+# README grammar, after surrounding whitespace and spaces are dropped:
+# <rat>, <rat>i or <rat>(+|-)<rat>i, where a unit imaginary part may be
+# written as a bare i
+_UNSIGNED = r"[0-9]+(/[0-9]+)?"
+_GRAMMAR = re.compile(rf"[+-]?{_UNSIGNED}|([+-]?{_UNSIGNED}[+-]|[+-]?)({_UNSIGNED})?i")
+_LITERAL_CHARS = "0123456789+-/i _\t\u0661\u00b2x."
+
+
+@given(st.one_of(st.text(), st.text(alphabet=_LITERAL_CHARS, max_size=12)))
+@settings(max_examples=400)
+def test_parse_accepts_only_the_readme_grammar(text):
+    try:
+        parse_scalar(text)
+    except ValueError:
+        return
+    assert _GRAMMAR.fullmatch(text.strip().replace(" ", ""))
 
 
 @given(scalars)
