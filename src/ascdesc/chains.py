@@ -16,13 +16,14 @@ from .exact import (
     Matrix,
     Subspace,
     block_diag,
-    cached_image,
-    cached_kernel,
     echelon,
+    extend_echelon,
     image_basis,
     integer_rows,
+    integer_span,
     kernel_basis,
-    power_chain,
+    power_image,
+    power_kernel,
     reduced_echelon,
     row_times,
     solve_exact,
@@ -104,9 +105,8 @@ def prop_asc_predicate(t: Matrix, m: int) -> AscentCheck:
     if not t.is_square:
         raise ValueError("prop_asc_predicate requires a square matrix")
     d = t.rows
-    powers = power_chain(t, max(m, d))
-    r_m = cached_image(powers[m])
-    n_d = cached_kernel(powers[d])
+    r_m = power_image(t, m)
+    n_d = power_kernel(t, d)
     meet = subspace_intersection(r_m, n_d)
     if meet.is_zero():
         return AscentCheck(True, None)
@@ -137,11 +137,10 @@ def prop_dsc_predicate(t: Matrix, m: int) -> DescentCheck:
     if not t.is_square:
         raise ValueError("prop_dsc_predicate requires a square matrix")
     d = t.rows
-    powers = power_chain(t, max(m, d))
-    n_m = cached_kernel(powers[m])
+    n_m = power_kernel(t, m)
     witnesses: list[tuple[int, Subspace]] = []
     for n in range(d + 1):
-        r_n = cached_image(powers[n])
+        r_n = power_image(t, n)
         if subspace_sum(n_m, r_n).dim != d:
             return DescentCheck(False, tuple(witnesses), failing_n=n)
         meet = subspace_intersection(n_m, r_n)
@@ -153,27 +152,16 @@ def prop_dsc_predicate(t: Matrix, m: int) -> DescentCheck:
 
 
 def _extend_within(inner: Subspace, outer: Subspace) -> Subspace:
-    """Span of outer-basis vectors extending a basis of inner to outer."""
-    working = [list(r) for r in inner.basis_rows()]
-    extension: list[tuple] = []
-    for row in outer.basis_rows():
-        vec = list(row)
-        vec = _reduce_against(vec, working)
-        if any(vec):
-            extension.append(row)
-            working.append(vec)
-    return Subspace.from_spanning_rows(outer.ambient_dim, extension)
+    """Span of outer-basis vectors extending a basis of inner to outer.
 
-
-def _reduce_against(vec: list, rows: list[list]) -> list:
-    for row in rows:
-        piv = next((j for j, v in enumerate(row) if v), None)
-        if piv is None:
-            continue
-        f = vec[piv] / row[piv]
-        if f:
-            vec = [x - f * y if y else x for x, y in zip(vec, row)]
-    return vec
+    An outer basis row is kept when it is independent of the inner basis
+    and of the rows kept before it.
+    """
+    pivots: dict = {}
+    for row in integer_rows(inner.basis):
+        extend_echelon(pivots, row)
+    extension = [row for row in integer_rows(outer.basis) if extend_echelon(pivots, row)]
+    return integer_span(outer.ambient_dim, extension)
 
 
 def compression(t: Matrix, p: Matrix) -> Matrix:

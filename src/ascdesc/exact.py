@@ -5,19 +5,26 @@ basis, so two subspaces are equal as sets exactly when their stored
 bases are identical entry by entry.  Every operation here is exact;
 floating-point counterparts live in :mod:`ascdesc.numeric`.
 
-One elimination kernel serves ``rank``, ``rref`` and
-:func:`ascdesc.chains.chain_report`.  It clears the common denominator
-once and eliminates sparse rows of Gaussian integers, keeping each pivot
-row as the unique representative of its line over Q(i): positive
-integer pivot, coprime components.  Rank is the forward pass alone;
-``rref`` adds a back-substitution and one ``Fraction`` per nonzero entry.
+The exact core works on sparse rows of Gaussian integers: a matrix A
+with common denominator D is held as the rows of D*A, which has the same
+kernel, image and rank.  One elimination kernel serves ``rank``,
+``rref``, kernels, images and :func:`ascdesc.chains.chain_report`,
+keeping each pivot row as the unique representative of its line over
+Q(i): positive integer pivot, coprime components.  Rank is the forward
+pass alone; ``rref`` adds a back-substitution and one ``Fraction`` per
+nonzero entry.  Products multiply the integer rows of both operands, and
+each matrix caches one growable chain of the integer rows of (DA)^k, so
+N(A^k), R(A^k) and rank(A^k) are read from integer rows
+(:func:`power_kernel`, :func:`power_image`, :func:`power_rank`);
+``Matrix.power`` divides row k of the chain by D^k.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from itertools import repeat
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from sympy.polys.domains import ZZ_I
@@ -84,9 +91,6 @@ class Matrix:
     def row(self, i: int) -> tuple[GaussianRational, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def col(self, j: int) -> tuple[GaussianRational, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     def to_lists(self) -> list[list[GaussianRational]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
@@ -140,21 +144,10 @@ class Matrix:
             raise ValueError(
                 f"dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        n, m, k = self.rows, other.cols, self.cols
-        out = [_ZERO] * (n * m)
-        oent = other.entries
-        for i in range(n):
-            base = i * k
-            orow = i * m
-            for t in range(k):
-                a = self.entries[base + t]
-                if a:
-                    ob = t * m
-                    for j in range(m):
-                        b = oent[ob + j]
-                        if b:
-                            out[orow + j] = out[orow + j] + a * b
-        return Matrix(n, m, out)
+        den_a, rows_a = cleared_rows(self)
+        den_b, rows_b = cleared_rows(other)
+        products = (row_times(row, rows_b) for row in rows_a)
+        return _matrix_of(products, self.rows, other.cols, repeat(den_a * den_b))
 
     def transpose(self) -> "Matrix":
         return Matrix(
@@ -182,12 +175,9 @@ class Matrix:
         return Matrix(self.rows, self.cols, flat)
 
     def power(self, k: int) -> "Matrix":
-        """A^k, entry k of this matrix's cached chain of powers."""
-        if not self.is_square:
-            raise ValueError("power requires a square matrix")
-        if k < 0:
-            raise ValueError("negative powers are not supported")
-        return power_chain(self, k)[k]
+        """A^k: row k of this matrix's cached integer chain, divided by D^k."""
+        rows = _power_rows(self, k)
+        return _matrix_of(rows, self.rows, self.cols, repeat(_powers(self)[0] ** k))
 
     def apply(self, vector: Sequence[Entryish]) -> tuple[GaussianRational, ...]:
         if len(vector) != self.cols:
@@ -252,17 +242,39 @@ def block_diag(*blocks: Matrix) -> Matrix:
 Row = dict[int, tuple[int, int]]
 
 
-def integer_rows(a: Matrix) -> list[Row]:
-    """Sparse rows of D*A, D the common denominator of A's entries."""
+def cleared_rows(a: Matrix) -> tuple[int, list[Row]]:
+    """D, the common denominator of A's entries, and the sparse rows of D*A."""
     den = common_denominator(a.entries)
     rows = []
     for i in range(a.rows):
-        rows.append({
-            j: (v.re_num * (den // v.re_den), v.im_num * (den // v.im_den))
-            for j, v in enumerate(a.row(i))
-            if v
-        })
-    return rows
+        row = {}
+        for j, v in enumerate(a.row(i)):
+            re, im = v.re, v.im
+            if re or im:
+                row[j] = (re.numerator * (den // re.denominator),
+                          im.numerator * (den // im.denominator))
+        rows.append(row)
+    return den, rows
+
+
+def integer_rows(a: Matrix) -> list[Row]:
+    """Sparse rows of D*A, D the common denominator of A's entries."""
+    return cleared_rows(a)[1]
+
+
+def _matrix_of(rows: Iterable[Row], n_rows: int, cols: int, dens: Iterable[int]) -> Matrix:
+    """The matrix whose row i is rows[i] / dens[i], zero-padded to n_rows rows."""
+    flat = [_ZERO] * (n_rows * cols)
+    for i, (row, den) in enumerate(zip(rows, dens)):
+        base = i * cols
+        for j, (x, y) in row.items():
+            flat[base + j] = GQ(Fraction(x, den), Fraction(y, den))
+    return Matrix(n_rows, cols, flat)
+
+
+def _rref_matrix(rows: list[Row], n_rows: int, cols: int) -> Matrix:
+    """Canonical reduced rows, each divided by its pivot, zero-padded to n_rows rows."""
+    return _matrix_of(rows, n_rows, cols, (row[min(row)][0] for row in rows))
 
 
 def _primitive(row: Row) -> Row:
@@ -299,6 +311,24 @@ def _reduce(row: Row, pivot_row: Row, col: int) -> Row:
     return out
 
 
+def extend_echelon(pivots: dict[int, Row], row: Row) -> bool:
+    """Reduce row against the pivot rows; keep it if it leads in a new column.
+
+    ``pivots`` maps each pivot column to its canonical pivot row.  Returns
+    whether the row was independent of them, that is, whether it was added.
+    """
+    while row:
+        col = min(row)
+        pivot_row = pivots.get(col)
+        if pivot_row is None:
+            pivots[col] = _canonical(row)
+            return True
+        row = _reduce(row, pivot_row, col)
+        if row:
+            row = _primitive(row)
+    return False
+
+
 def echelon(rows: Iterable[Row]) -> list[Row]:
     """Canonical echelon basis of the rows' span, by increasing pivot column.
 
@@ -310,15 +340,7 @@ def echelon(rows: Iterable[Row]) -> list[Row]:
     """
     pivots: dict[int, Row] = {}
     for row in rows:
-        while row:
-            col = min(row)
-            pivot_row = pivots.get(col)
-            if pivot_row is None:
-                pivots[col] = _canonical(row)
-                break
-            row = _reduce(row, pivot_row, col)
-            if row:
-                row = _primitive(row)
+        extend_echelon(pivots, row)
     return [pivots[c] for c in sorted(pivots)]
 
 
@@ -356,16 +378,8 @@ def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     The result is the unique RREF of ``a``; pivot columns are strictly
     increasing.  Each canonical row divided by its pivot P is a row of it.
     """
-    flat = [_ZERO] * (a.rows * a.cols)
-    pivots = []
-    for i, row in enumerate(reduced_echelon(echelon(integer_rows(a)))):
-        col = min(row)
-        p = row[col][0]
-        pivots.append(col)
-        base = i * a.cols
-        for j, (x, y) in row.items():
-            flat[base + j] = GQ(Fraction(x, p), Fraction(y, p))
-    return Matrix(a.rows, a.cols, flat), tuple(pivots)
+    rows = reduced_echelon(echelon(integer_rows(a)))
+    return _rref_matrix(rows, a.rows, a.cols), tuple(min(row) for row in rows)
 
 
 def rank(a: Matrix) -> int:
@@ -411,9 +425,7 @@ class Subspace:
         span = Matrix.from_rows(row_list)
         if span.cols != ambient_dim:
             raise ValueError("spanning rows must have the ambient dimension")
-        reduced, pivots = rref(span)
-        basis = Matrix(len(pivots), ambient_dim, reduced.entries[: len(pivots) * ambient_dim])
-        return cls._canonical(ambient_dim, basis)
+        return integer_span(ambient_dim, integer_rows(span))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -441,22 +453,10 @@ class Subspace:
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
-    def contains_vector(self, vector: Sequence[Entryish]) -> bool:
-        vec = [as_gq(v) for v in vector]
-        if len(vec) != self.ambient_dim:
-            raise ValueError("vector length must match the ambient dimension")
-        for i in range(self.basis.rows):
-            row = self.basis.row(i)
-            # eliminate using the pivot of this basis row
-            piv = next(j for j, v in enumerate(row) if v)
-            f = vec[piv]
-            if f:
-                vec = [x - f * y if y else x for x, y in zip(vec, row)]
-        return not any(vec)
-
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(self.contains_vector(r) for r in other.basis_rows())
+        rows = integer_rows(self.basis) + integer_rows(other.basis)
+        return len(echelon(rows)) == self.dim
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -471,28 +471,56 @@ class Subspace:
             )
 
 
+def integer_span(ambient_dim: int, rows: Iterable[Row]) -> Subspace:
+    """The subspace spanned by sparse Gaussian-integer rows."""
+    reduced = reduced_echelon(echelon(rows))
+    return Subspace._canonical(ambient_dim, _rref_matrix(reduced, len(reduced), ambient_dim))
+
+
+def _kernel(rows: list[Row], cols: int) -> Subspace:
+    """N(M), M the matrix with sparse rows ``rows`` and ``cols`` columns.
+
+    With L the lcm of the pivots of M's canonical RREF rows, free column
+    f contributes the integer vector L*e_f - sum over pivot rows R of
+    (L/P_R) * R[f] * e_pivot(R).
+    """
+    lead = {min(row): row for row in reduced_echelon(echelon(rows))}
+    scale = lcm(*(row[c][0] for c, row in lead.items()))
+    vectors = []
+    for f in range(cols):
+        if f in lead:
+            continue
+        vec = {f: (scale, 0)}
+        for c, row in lead.items():
+            if f in row:
+                x, y = row[f]
+                q = scale // row[c][0]
+                vec[c] = (-x * q, -y * q)
+        vectors.append(vec)
+    return integer_span(cols, vectors)
+
+
+def _image(rows: list[Row], cols: int) -> Subspace:
+    """R(M), M the matrix with sparse rows ``rows`` and ``cols`` columns.
+
+    The column space is the row space of the transpose: ``cols`` rows in
+    an ambient space of dimension ``len(rows)``.
+    """
+    columns: list[Row] = [{} for _ in range(cols)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            columns[j][i] = v
+    return integer_span(len(rows), columns)
+
+
 def kernel_basis(a: Matrix) -> Subspace:
     """Canonical basis of the null space {x : Ax = 0}."""
-    reduced, pivots = rref(a)
-    pivot_set = set(pivots)
-    free_cols = [j for j in range(a.cols) if j not in pivot_set]
-    rows = []
-    for f in free_cols:
-        vec = [_ZERO] * a.cols
-        vec[f] = _ONE
-        for r, p in enumerate(pivots):
-            coef = reduced.at(r, f)
-            if coef:
-                vec[p] = -coef
-        rows.append(vec)
-    return Subspace.from_spanning_rows(a.cols, rows)
+    return _kernel(integer_rows(a), a.cols)
 
 
 def image_basis(a: Matrix) -> Subspace:
     """Canonical basis of the column space of A."""
-    return Subspace.from_spanning_rows(
-        a.rows, [a.col(j) for j in range(a.cols)]
-    )
+    return _image(integer_rows(a), a.cols)
 
 
 def subspace_sum(y: Subspace, z: Subspace) -> Subspace:
@@ -559,8 +587,8 @@ def char_poly(a: Matrix) -> tuple[GaussianRational, ...]:
     if not a.is_square:
         raise ValueError("characteristic polynomial requires a square matrix")
     n = a.rows
-    den = common_denominator(a.entries)
-    rows = [[ZZ_I(*row.get(j, (0, 0))) for j in range(n)] for row in integer_rows(a)]
+    den, int_rows = cleared_rows(a)
+    rows = [[ZZ_I(*row.get(j, (0, 0))) for j in range(n)] for row in int_rows]
     coeffs = DomainMatrix(rows, (n, n), ZZ_I).charpoly()
     return tuple(
         GQ(Fraction(int(c.x), den ** (n - k)), Fraction(int(c.y), den ** (n - k)))
@@ -654,30 +682,43 @@ def matrix_from_obj(obj: dict) -> Matrix:
 
 
 @lru_cache(maxsize=128)
-def _powers(a: Matrix) -> list[Matrix]:
-    """The growable chain [A^0, A^1, ...] of one matrix, keyed by A alone.
+def _powers(a: Matrix) -> tuple[int, list[Row], list[list[Row]]]:
+    """D, the rows of D*A, and the growable chain [(DA)^0, (DA)^1, ...] of rows.
 
-    Memory is bounded by the cache: at most ``maxsize`` chains are held,
-    and each is only as long as the largest exponent asked of its matrix.
-    Growing appends to a list shared by every caller, so this is not
-    thread-safe.
+    Keyed by A alone.  (DA)^k = D^k A^k, so its kernel, image and rank are
+    those of A^k.  Memory is bounded by the cache: at most ``maxsize``
+    chains are held, and each is only as long as the largest exponent
+    asked of its matrix.  Growing appends to a list shared by every
+    caller, so this is not thread-safe.
     """
-    return [Matrix.identity(a.rows)]
+    den, step = cleared_rows(a)
+    return den, step, [[{i: (1, 0)} for i in range(a.rows)]]
 
 
-def power_chain(a: Matrix, top: int) -> tuple[Matrix, ...]:
-    """Powers A^0 .. A^top, grown on demand in A's cached chain."""
-    chain = _powers(a)
-    while len(chain) <= top:
-        chain.append(chain[-1] @ a)
-    return tuple(chain[: top + 1])
+def _power_rows(a: Matrix, k: int) -> list[Row]:
+    """Sparse rows of (DA)^k, grown on demand in A's cached chain."""
+    if not a.is_square:
+        raise ValueError("power requires a square matrix")
+    if k < 0:
+        raise ValueError("negative powers are not supported")
+    _, step, chain = _powers(a)
+    while len(chain) <= k:
+        chain.append([row_times(row, step) for row in chain[-1]])
+    return chain[k]
 
 
 @lru_cache(maxsize=4096)
-def cached_kernel(a: Matrix) -> Subspace:
-    return kernel_basis(a)
+def power_kernel(a: Matrix, k: int) -> Subspace:
+    """N(A^k), read from A's integer power chain."""
+    return _kernel(_power_rows(a, k), a.cols)
 
 
 @lru_cache(maxsize=4096)
-def cached_image(a: Matrix) -> Subspace:
-    return image_basis(a)
+def power_image(a: Matrix, k: int) -> Subspace:
+    """R(A^k), read from A's integer power chain."""
+    return _image(_power_rows(a, k), a.cols)
+
+
+def power_rank(a: Matrix, k: int) -> int:
+    """rank(A^k), read from A's integer power chain."""
+    return len(echelon(_power_rows(a, k)))

@@ -138,10 +138,7 @@ def as_gq(value) -> GaussianRational:
 
 def common_denominator(values: Iterable[GaussianRational]) -> int:
     """Least positive D with D * v a Gaussian integer for every v."""
-    den = 1
-    for v in values:
-        den = lcm(den, v.re_den, v.im_den)
-    return den
+    return lcm(*{f.denominator for v in values for f in (v.re, v.im)})
 
 
 def parse_scalar(text: str) -> GaussianRational:

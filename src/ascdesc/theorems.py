@@ -32,14 +32,14 @@ from .exact import (
     Matrix,
     Subspace,
     block_diag,
-    cached_image,
-    cached_kernel,
     hstack,
     invert,
     matrix_from_obj,
     matrix_to_obj,
     poly_of_matrix,
-    power_chain,
+    power_image,
+    power_kernel,
+    power_rank,
     rank,
     subspace_sum,
     is_direct_sum,
@@ -123,13 +123,10 @@ def _h1_kernel_split(s: Matrix, t: Matrix, top: int | None = None):
     d = _check_square_pair(s, t)
     top = d if top is None else top
     ts = t @ s
-    s_pow = power_chain(s, top)
-    t_pow = power_chain(t, top)
-    ts_pow = power_chain(ts, top)
     for p in range(1, top + 1):
-        n_t = cached_kernel(t_pow[p])
-        n_s = cached_kernel(s_pow[p])
-        n_ts = cached_kernel(ts_pow[p])
+        n_t = power_kernel(t, p)
+        n_s = power_kernel(s, p)
+        n_ts = power_kernel(ts, p)
         if not is_direct_sum([n_t, n_s]) or subspace_sum(n_t, n_s) != n_ts:
             return False, p, (n_t, n_s, n_ts)
     return True, None, None
@@ -157,9 +154,9 @@ def check_H2(s: Matrix, t: Matrix) -> HypothesisReport:
 def _h2_inclusion(s: Matrix, t: Matrix) -> tuple[int, str | None]:
     """Descent n0 of TS and the first range inclusion that holds at n0, if any."""
     n0 = chain_report(t @ s).dsc
-    if cached_image(t).contains(cached_kernel(s.power(n0))):
+    if power_image(t, 1).contains(power_kernel(s, n0)):
         return n0, "N(S^n0) in R(T)"
-    if cached_image(s).contains(cached_kernel(t.power(n0))):
+    if power_image(s, 1).contains(power_kernel(t, n0)):
         return n0, "N(T^n0) in R(S)"
     return n0, None
 
@@ -553,8 +550,8 @@ def _verify_thC(mats, instance, seed) -> TheoremVerdict:
     dsc_t = chain_report(t).dsc
     dsc_s = chain_report(s).dsc
     dsc_ts = chain_report(t @ s).dsc
-    codim_t = t.rows - cached_image(t.power(n0)).dim
-    codim_s = s.rows - cached_image(s.power(n0)).dim
+    codim_t = t.rows - power_rank(t, n0)
+    codim_s = s.rows - power_rank(s, n0)
     witness.update(
         {
             "n0": n0,
@@ -627,7 +624,7 @@ def _verify_lemma_ca(mats, instance, seed) -> TheoremVerdict:
     rep_t = chain_report(t)
     rep_tp = chain_report(t_p) if t_p.rows else ChainReport((0, 0), (0, 0), 0, 0, 0, 0)
     rep_ptp = chain_report(p @ t @ p)
-    null_dim = t.rows - cached_image(p).dim
+    null_dim = t.rows - rank(p)
     zero_asc = 1 if null_dim else 0
     witness = {
         "asc_T": rep_t.asc,
@@ -946,7 +943,7 @@ def _in_M_or_N_window(s_secs, t_secs, prod_secs, sum_secs, lam, cfg, p_bound) ->
             samples = []
             for n in window:
                 shifted = secs[n].shifted(lam)
-                samples.append((n, n - cached_image(shifted.power(n0)).dim))
+                samples.append((n, n - power_rank(shifted, n0)))
             return classify_window("beta", samples).kind == "divergent"
         in_m = grows(s_secs) or grows(t_secs)
     if in_m:

@@ -20,11 +20,12 @@ from dataclasses import dataclass
 from .chains import chain_report
 from .exact import (
     Matrix,
-    cached_image,
     json_array,
     json_object,
     matrix_from_obj,
     matrix_to_obj,
+    power_rank,
+    rank,
 )
 from .gq import GQ, GaussianRational, as_gq, format_scalar, parse_scalar
 
@@ -521,8 +522,7 @@ class PowerRankVerdict:
 
 def _certain_power_rank(spec: OperatorSpec) -> PowerRankVerdict | None:
     if isinstance(spec, DenseSpec):
-        rank = cached_image(spec.matrix).dim
-        return PowerRankVerdict("certain-true", n0=1, rank=rank)
+        return PowerRankVerdict("certain-true", n0=1, rank=rank(spec.matrix))
     if isinstance(spec, FiniteRankSpec):
         return PowerRankVerdict("certain-true", n0=1, rank=len(spec.terms))
     if isinstance(spec, BandedSpec) and spec.is_zero():
@@ -572,9 +572,7 @@ def probed_power_rank(sections: dict[int, Matrix], cfg: TowerConfig) -> PowerRan
     window = cfg.window()
     seen = []
     for exponent in range(1, cfg.rank_power_bound + 1):
-        ranks = tuple(
-            cached_image(sections[n].power(exponent)).dim for n in window
-        )
+        ranks = tuple(power_rank(sections[n], exponent) for n in window)
         seen.append((exponent, ranks))
         if all(r == ranks[0] for r in ranks):
             return PowerRankVerdict(

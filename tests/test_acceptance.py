@@ -17,10 +17,10 @@ from ascdesc.convergence import Perturbation, SequenceSpec, probe, trajectory
 from ascdesc.exact import (
     Matrix,
     block_diag,
-    cached_image,
-    cached_kernel,
     is_direct_sum,
     matrix_to_obj,
+    power_image,
+    power_kernel,
     subspace_sum,
 )
 from ascdesc.gq import GQ
@@ -90,10 +90,10 @@ def test_criterion_2_characterization_equivalence():
             dsc_check = prop_dsc_predicate(t, m)
             assert dsc_check.holds == (rep.dsc <= m)
             if dsc_check.holds:
-                kernel_m = cached_kernel(t.power(m))
+                kernel_m = power_kernel(t, m)
                 assert len(dsc_check.witnesses) == d + 1
                 for n, y_n in dsc_check.witnesses:
-                    range_n = cached_image(t.power(n))
+                    range_n = power_image(t, n)
                     assert kernel_m.contains(y_n)
                     assert is_direct_sum([y_n, range_n])
                     assert subspace_sum(y_n, range_n).is_full()

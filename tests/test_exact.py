@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +12,9 @@ from ascdesc.exact import (
     block_diag,
     char_poly,
     codim,
+    _powers,
     echelon,
+    hstack,
     image_basis,
     integer_rows,
     invert,
@@ -20,7 +22,9 @@ from ascdesc.exact import (
     kernel_basis,
     matrix_from_obj,
     matrix_to_obj,
-    power_chain,
+    power_image,
+    power_kernel,
+    power_rank,
     rank,
     reduced_echelon,
     rref,
@@ -31,7 +35,7 @@ from ascdesc.exact import (
 )
 from ascdesc.gq import GQ
 
-from oracles import oracle_rank
+from oracles import gi_matmul, oracle_rank, to_gaussian_int
 
 
 def gq_matrix(rows, cols, seed):
@@ -93,9 +97,10 @@ def _filled(draw, rows, cols, entries):
 
 
 @st.composite
-def gq_matrices(draw, square=False, max_dim=10):
+def gq_matrices(draw, square=False, max_dim=10, rows=None):
     """Dense, sparse, or rank-deficient A*B Gaussian-rational matrices."""
-    rows = draw(st.integers(min_value=0, max_value=max_dim))
+    if rows is None:
+        rows = draw(st.integers(min_value=0, max_value=max_dim))
     cols = rows if square else draw(st.integers(min_value=0, max_value=max_dim))
     kind = draw(st.sampled_from(["dense", "sparse", "product"]))
     if kind == "product":
@@ -337,11 +342,103 @@ def test_power_matches_repeated_products(d):
 
 def test_power_and_power_chain_share_one_chain():
     a = gq_matrix(3, 3, 7)
-    assert power_chain(a, 5)[3] is a.power(3)
+    product = Matrix.identity(3)
+    for k in range(6):
+        assert a.power(k) == product
+        product = product @ a
+    _powers.cache_clear()
+    a.power(3)
+    power_rank(a, 5)
+    info = _powers.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert len(_powers(a)[2]) == 6  # (DA)^0 .. (DA)^5
     with pytest.raises(ValueError):
         Matrix.zeros(2, 3).power(1)
     with pytest.raises(ValueError):
         a.power(-1)
+
+
+def _denominator(m):
+    return lcm(1, *(v.re.denominator for v in m.entries), *(v.im.denominator for v in m.entries))
+
+
+def _as_integer_pairs(m, scale):
+    """The entries of scale * m, which must be Gaussian integers, row by row."""
+    out = []
+    for i in range(m.rows):
+        row = []
+        for v in m.row(i):
+            w = v * scale
+            assert w.re.denominator == w.im.denominator == 1
+            row.append((w.re.numerator, w.im.numerator))
+        out.append(row)
+    return out
+
+
+@st.composite
+def _product_pairs(draw):
+    a = draw(gq_matrices())
+    return a, draw(gq_matrices(rows=a.cols))
+
+
+@given(_product_pairs())
+@settings(max_examples=100, deadline=None)
+def test_matmul_agrees_with_integer_oracle(pair):
+    a, b = pair
+    c = a @ b
+    assert (c.rows, c.cols) == (a.rows, b.cols)
+    if a.cols:
+        want = gi_matmul(to_gaussian_int(a), to_gaussian_int(b))
+    else:  # an empty inner dimension gives the zero matrix
+        want = [[(0, 0)] * b.cols for _ in range(a.rows)]
+    assert _as_integer_pairs(c, _denominator(a) * _denominator(b)) == want
+
+
+@given(gq_matrices())
+@settings(max_examples=100, deadline=None)
+def test_kernel_and_image_agree_with_oracle(m):
+    r = oracle_rank(m)
+    kernel, image = kernel_basis(m), image_basis(m)
+    assert (kernel.ambient_dim, kernel.dim) == (m.cols, m.cols - r)
+    assert (image.ambient_dim, image.dim) == (m.rows, r)
+    Subspace(m.cols, kernel.basis)  # raises unless the basis is canonical
+    Subspace(m.rows, image.basis)
+    if kernel.dim:
+        product = gi_matmul(to_gaussian_int(m), to_gaussian_int(kernel.basis.transpose()))
+        assert all(v == (0, 0) for row in product for v in row)
+    if image.dim:  # the basis columns add nothing to the column space
+        assert oracle_rank(hstack(m, image.basis.transpose())) == r
+
+
+@given(gq_matrices(square=True, max_dim=6))
+@settings(max_examples=60, deadline=None)
+def test_power_readers_agree_with_products(a):
+    product = Matrix.identity(a.rows)
+    for k in range(a.rows + 2):
+        assert a.power(k) == product
+        assert power_kernel(a, k) == kernel_basis(product)
+        assert power_image(a, k) == image_basis(product)
+        assert power_rank(a, k) == oracle_rank(product)
+        product = product @ a
+
+
+@pytest.mark.parametrize("d", [0, 1, 3])
+def test_power_readers_on_zero_and_identity(d):
+    zero, ident = Matrix.zeros(d, d), Matrix.identity(d)
+    for a in (zero, ident):
+        assert a.power(0) == ident
+        assert power_kernel(a, 0) == Subspace.zero(d)
+        assert power_image(a, 0) == Subspace.full(d)
+        assert power_rank(a, 0) == d
+    for k in (1, 2, d + 1):
+        assert zero.power(k) == zero and ident.power(k) == ident
+        assert power_kernel(zero, k) == Subspace.full(d) == power_image(ident, k)
+        assert power_image(zero, k) == Subspace.zero(d) == power_kernel(ident, k)
+        assert (power_rank(zero, k), power_rank(ident, k)) == (0, d)
+    assert kernel_basis(Matrix.zeros(2, 3)) == Subspace.full(3)
+    assert image_basis(Matrix.zeros(2, 3)) == Subspace.zero(2)
+    with pytest.raises(ValueError):
+        power_rank(Matrix.zeros(2, 3), 1)
 
 
 def test_dimension_mismatch():
