@@ -5,7 +5,11 @@ the descent is the first k with R(T^k) = R(T^k+1).  Both chains are
 monotone, so dimension comparisons decide subspace equality, and both
 stabilize no later than the ambient dimension.  In dimension d, rank
 nullity gives dim N(T^k) = d - rank(T^k), so both chains are read from
-rank(T^k) alone, one elimination per power, and asc = dsc.
+rank(T^k) alone, one elimination per power, and asc = dsc.  The Prop 1.1
+predicates work on the canonical integer rows of the subspaces
+involved: each sum and intersection comes from one Zassenhaus
+elimination, and a witness complement is checked as a direct sum by
+its dimension.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .exact import (
     image_basis,
     integer_rows,
     integer_span,
+    is_direct_sum,
     kernel_basis,
     power_image,
     power_kernel,
@@ -28,7 +33,8 @@ from .exact import (
     row_times,
     solve_exact,
     subspace_intersection,
-    subspace_sum,
+    sum_and_intersection,
+    vstack,
 )
 
 
@@ -129,10 +135,11 @@ class DescentCheck:
 def prop_dsc_predicate(t: Matrix, m: int) -> DescentCheck:
     """True iff N(T^m) + R(T^n) = X for every n <= dim; builds witnesses.
 
-    Witness construction: extend a basis of N(T^m) ∩ R(T^n) to a basis
-    of N(T^m); the added vectors span a complement Y_n of R(T^n).  The
-    direct-sum identity X = Y_n ⊕ R(T^n) is re-verified before return.
-    Equivalent to dsc(T) <= m.
+    The sum and the intersection N(T^m) ∩ R(T^n) come from one
+    elimination.  Witness construction: extend a basis of the
+    intersection to a basis of N(T^m); the added vectors span a
+    complement Y_n of R(T^n).  The direct-sum identity X = Y_n ⊕ R(T^n)
+    is re-verified before return.  Equivalent to dsc(T) <= m.
     """
     if not t.is_square:
         raise ValueError("prop_dsc_predicate requires a square matrix")
@@ -141,11 +148,11 @@ def prop_dsc_predicate(t: Matrix, m: int) -> DescentCheck:
     witnesses: list[tuple[int, Subspace]] = []
     for n in range(d + 1):
         r_n = power_image(t, n)
-        if subspace_sum(n_m, r_n).dim != d:
+        total, meet = sum_and_intersection(n_m, r_n)
+        if total.dim != d:
             return DescentCheck(False, tuple(witnesses), failing_n=n)
-        meet = subspace_intersection(n_m, r_n)
         y_n = _extend_within(meet, n_m)
-        if y_n.dim + r_n.dim != d or subspace_sum(y_n, r_n).dim != d:
+        if y_n.dim + r_n.dim != d or not is_direct_sum([y_n, r_n]):
             raise RuntimeError("witness construction failed the direct-sum check")
         witnesses.append((n, y_n))
     return DescentCheck(True, tuple(witnesses))
@@ -157,10 +164,8 @@ def _extend_within(inner: Subspace, outer: Subspace) -> Subspace:
     An outer basis row is kept when it is independent of the inner basis
     and of the rows kept before it.
     """
-    pivots: dict = {}
-    for row in integer_rows(inner.basis):
-        extend_echelon(pivots, row)
-    extension = [row for row in integer_rows(outer.basis) if extend_echelon(pivots, row)]
+    pivots = {min(row): row for row in inner.rows}
+    extension = [row for row in outer.rows if extend_echelon(pivots, row)]
     return integer_span(outer.ambient_dim, extension)
 
 
@@ -177,7 +182,7 @@ def compression(t: Matrix, p: Matrix) -> Matrix:
     r = basis.dim
     if r == 0:
         return Matrix.zeros(0, 0)
-    cols = Matrix.from_rows(basis.basis_rows()).transpose()  # d x r
+    cols = basis.basis.transpose()  # d x r
     mapped = p @ (t @ cols)
     return solve_exact(cols, mapped)
 
@@ -195,11 +200,9 @@ def ptp_block_form(t: Matrix, p: Matrix) -> tuple[Matrix, Matrix]:
         raise ValueError("projection must be idempotent")
     if t @ p != p @ t:
         raise ValueError("projection must commute with the operator")
-    d = t.rows
     range_part = image_basis(p)
     null_part = kernel_basis(p)
-    columns = range_part.basis_rows() + null_part.basis_rows()
-    v = Matrix.from_rows(columns).transpose() if columns else Matrix.zeros(d, 0)
+    v = vstack(range_part.basis, null_part.basis).transpose()
     block = solve_exact(v, (p @ t @ p) @ v)
     expected = block_diag(compression(t, p), Matrix.zeros(null_part.dim, null_part.dim))
     if block != expected:

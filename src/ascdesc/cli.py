@@ -102,8 +102,9 @@ def _parse_window(text: str | None) -> TowerConfig:
     if text is None:
         return TowerConfig()
     parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError("--window expects N0,step,count")
+    # int() would also read " 4", "+4", "2_0" and non-ASCII digits
+    if len(parts) != 3 or not all(v.isascii() and v.isdigit() for v in parts):
+        raise ValueError(f"--window expects N0,step,count in ASCII digits, got {text!r}")
     n0, step, count = (int(v) for v in parts)
     return TowerConfig(n0=n0, step=step, count=count)
 

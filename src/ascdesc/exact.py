@@ -1,8 +1,10 @@
 """Exact matrices and canonical subspace algebra over the Gaussian rationals.
 
-Subspaces are canonicalized by the reduced row-echelon form of a row
-basis, so two subspaces are equal as sets exactly when their stored
-bases are identical entry by entry.  Every operation here is exact;
+A subspace is held as the canonical integer rows of its reduced
+row-echelon basis, so two subspaces are equal as sets exactly when their
+rows are identical.  The sum and the intersection of two subspaces come
+from one elimination (Zassenhaus's algorithm), and a sum is direct
+exactly when the dimensions add up.  Every operation here is exact;
 floating-point counterparts live in :mod:`ascdesc.numeric`.
 
 The exact core works on sparse rows of Gaussian integers: a matrix A
@@ -16,7 +18,8 @@ nonzero entry.  Products multiply the integer rows of both operands, and
 each matrix caches one growable chain of the integer rows of (DA)^k, so
 N(A^k), R(A^k) and rank(A^k) are read from integer rows
 (:func:`power_kernel`, :func:`power_image`, :func:`power_rank`);
-``Matrix.power`` divides row k of the chain by D^k.
+``Matrix.power`` divides row k of the chain by D^k.  ``Fraction``s are
+made only when a matrix or a subspace's ``basis`` is read.
 """
 
 from __future__ import annotations
@@ -80,10 +83,7 @@ class Matrix:
     @classmethod
     def diag(cls, values: Sequence[Entryish]) -> "Matrix":
         n = len(values)
-        flat = [_ZERO] * (n * n)
-        for i, v in enumerate(values):
-            flat[i * n + i] = as_gq(v)
-        return cls(n, n, flat)
+        return cls(n, n, [values[i] if i == j else _ZERO for i in range(n) for j in range(n)])
 
     def at(self, i: int, j: int) -> GaussianRational:
         return self.entries[i * self.cols + j]
@@ -159,10 +159,7 @@ class Matrix:
     def trace(self) -> GaussianRational:
         if not self.is_square:
             raise ValueError("trace requires a square matrix")
-        t = _ZERO
-        for i in range(self.rows):
-            t = t + self.at(i, i)
-        return t
+        return sum((self.at(i, i) for i in range(self.rows)), _ZERO)
 
     def shifted(self, lam: Entryish) -> "Matrix":
         """A - lam*I for square A."""
@@ -182,18 +179,7 @@ class Matrix:
     def apply(self, vector: Sequence[Entryish]) -> tuple[GaussianRational, ...]:
         if len(vector) != self.cols:
             raise ValueError("vector length must match column count")
-        vec = [as_gq(v) for v in vector]
-        out = []
-        for i in range(self.rows):
-            acc = _ZERO
-            base = i * self.cols
-            for j, v in enumerate(vec):
-                if v:
-                    e = self.entries[base + j]
-                    if e:
-                        acc = acc + e * v
-            out.append(acc)
-        return tuple(out)
+        return (self @ Matrix(self.cols, 1, vector)).entries
 
     def _check_same_shape(self, other: "Matrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -216,19 +202,14 @@ def vstack(a: Matrix, b: Matrix) -> Matrix:
 
 
 def block_diag(*blocks: Matrix) -> Matrix:
-    rows = sum(b.rows for b in blocks)
     cols = sum(b.cols for b in blocks)
-    flat = [_ZERO] * (rows * cols)
-    r0 = c0 = 0
+    flat: list[Entryish] = []
+    c0 = 0
     for b in blocks:
         for i in range(b.rows):
-            base = (r0 + i) * cols + c0
-            brow = b.row(i)
-            for j in range(b.cols):
-                flat[base + j] = brow[j]
-        r0 += b.rows
+            flat += [_ZERO] * c0 + list(b.row(i)) + [_ZERO] * (cols - c0 - b.cols)
         c0 += b.cols
-    return Matrix(rows, cols, flat)
+    return Matrix(sum(b.rows for b in blocks), cols, flat)
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +353,18 @@ def row_times(row: Row, rows: Sequence[Row]) -> Row:
     return {j: uv for j, uv in out.items() if uv != (0, 0)}
 
 
+def _rref_rows(a: Matrix) -> list[Row]:
+    """The canonical rows of A's reduced row-echelon form, zero rows dropped."""
+    return reduced_echelon(echelon(integer_rows(a)))
+
+
 def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row-echelon form and its pivot columns.
 
     The result is the unique RREF of ``a``; pivot columns are strictly
     increasing.  Each canonical row divided by its pivot P is a row of it.
     """
-    rows = reduced_echelon(echelon(integer_rows(a)))
+    rows = _rref_rows(a)
     return _rref_matrix(rows, a.rows, a.cols), tuple(min(row) for row in rows)
 
 
@@ -387,29 +373,32 @@ def rank(a: Matrix) -> int:
 
 
 class Subspace:
-    """A subspace of the ambient column space, held as a canonical row basis.
+    """A subspace of the ambient column space, held as canonical integer rows.
 
-    The basis matrix is in reduced row-echelon form with no zero rows,
-    so set equality coincides with entry-wise equality of bases.
+    ``rows`` are the canonical rows of the reduced row-echelon basis, so
+    set equality coincides with equality of rows.  The basis matrix is
+    built from them on first use.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "rows", "_basis")
 
     def __init__(self, ambient_dim: int, basis: Matrix):
         if basis.cols != ambient_dim:
             raise ValueError("basis width must equal the ambient dimension")
-        reduced, pivots = rref(basis)
-        if len(pivots) != basis.rows or reduced != basis:
+        rows = _rref_rows(basis)
+        if len(rows) != basis.rows or _rref_matrix(rows, basis.rows, ambient_dim) != basis:
             raise ValueError("basis rows must be a reduced row-echelon basis")
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "_basis", basis)
 
     @classmethod
-    def _canonical(cls, ambient_dim: int, basis: Matrix) -> "Subspace":
-        """Wrap a basis that is reduced row-echelon by construction, unchecked."""
+    def _from_rows(cls, ambient_dim: int, rows: tuple[Row, ...]) -> "Subspace":
+        """Wrap rows that are canonical and reduced by construction, unchecked."""
         self = object.__new__(cls)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_basis", None)
         return self
 
     def __setattr__(self, name, value):
@@ -425,38 +414,45 @@ class Subspace:
         span = Matrix.from_rows(row_list)
         if span.cols != ambient_dim:
             raise ValueError("spanning rows must have the ambient dimension")
-        return integer_span(ambient_dim, integer_rows(span))
+        return cls._from_rows(ambient_dim, tuple(_rref_rows(span)))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls._canonical(ambient_dim, Matrix.zeros(0, ambient_dim))
+        return cls._from_rows(ambient_dim, ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls._canonical(ambient_dim, Matrix.identity(ambient_dim))
+        return cls._from_rows(ambient_dim, tuple({i: (1, 0)} for i in range(ambient_dim)))
+
+    @property
+    def basis(self) -> Matrix:
+        """The reduced row-echelon basis, one row per dimension."""
+        if self._basis is None:
+            object.__setattr__(self, "_basis", _rref_matrix(self.rows, self.dim, self.ambient_dim))
+        return self._basis
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.rows)
 
     def basis_rows(self) -> list[tuple[GaussianRational, ...]]:
-        return [self.basis.row(i) for i in range(self.basis.rows)]
+        return [self.basis.row(i) for i in range(self.dim)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
+        return self.ambient_dim == other.ambient_dim and self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, tuple(frozenset(row.items()) for row in self.rows)))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        rows = integer_rows(self.basis) + integer_rows(other.basis)
-        return len(echelon(rows)) == self.dim
+        pivots = {min(row): row for row in self.rows}
+        return not any(extend_echelon(pivots, row) for row in other.rows)
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -473,8 +469,7 @@ class Subspace:
 
 def integer_span(ambient_dim: int, rows: Iterable[Row]) -> Subspace:
     """The subspace spanned by sparse Gaussian-integer rows."""
-    reduced = reduced_echelon(echelon(rows))
-    return Subspace._canonical(ambient_dim, _rref_matrix(reduced, len(reduced), ambient_dim))
+    return Subspace._from_rows(ambient_dim, tuple(reduced_echelon(echelon(rows))))
 
 
 def _kernel(rows: list[Row], cols: int) -> Subspace:
@@ -523,52 +518,40 @@ def image_basis(a: Matrix) -> Subspace:
     return _image(integer_rows(a), a.cols)
 
 
-def subspace_sum(y: Subspace, z: Subspace) -> Subspace:
-    y._check_ambient(z)
-    return Subspace.from_spanning_rows(
-        y.ambient_dim, y.basis_rows() + z.basis_rows()
-    )
+def sum_and_intersection(y: Subspace, z: Subspace) -> tuple[Subspace, Subspace]:
+    """Y + Z and Y ∩ Z from one elimination (Zassenhaus's algorithm).
 
-
-def annihilator(y: Subspace) -> Subspace:
-    """Vectors x with b . x = 0 for every basis row b (no conjugation).
-
-    The pairing is the plain bilinear dot product, which is
-    non-degenerate over the Gaussian rationals, so dim + codim adds up
-    and the double annihilator recovers the original subspace.
+    Echelonize the rows [y | y] for Y's rows and [z | 0] for Z's rows,
+    which are independent.  The left halves of the rows leading in the
+    left half are independent and span Y + Z.  Every other row is
+    [0 | c] with c = sum a_i y_i = -sum b_j z_j, so it lies in Y ∩ Z; the
+    counts add up to dim Y + dim Z, so these right halves span Y ∩ Z.
     """
-    return kernel_basis(y.basis) if y.dim else Subspace.full(y.ambient_dim)
+    y._check_ambient(z)
+    n = y.ambient_dim
+    doubled = [{**row, **{j + n: v for j, v in row.items()}} for row in y.rows]
+    left, right = [], []
+    for row in echelon(doubled + list(z.rows)):
+        if min(row) < n:
+            left.append({j: v for j, v in row.items() if j < n})
+        else:
+            right.append({j - n: v for j, v in row.items()})
+    return integer_span(n, left), integer_span(n, right)
+
+
+def subspace_sum(y: Subspace, z: Subspace) -> Subspace:
+    return sum_and_intersection(y, z)[0]
 
 
 def subspace_intersection(y: Subspace, z: Subspace) -> Subspace:
-    """Intersection via the kernel of stacked annihilator constraints."""
-    y._check_ambient(z)
-    if y.is_full():
-        return z
-    if z.is_full():
-        return y
-    ya = annihilator(y)
-    za = annihilator(z)
-    constraints = vstack(ya.basis, za.basis)
-    return kernel_basis(constraints)
+    return sum_and_intersection(y, z)[1]
 
 
 def is_direct_sum(parts: Sequence[Subspace]) -> bool:
-    """True iff pairwise intersections are trivial and dimensions add up."""
-    if not parts:
-        return True
-    ambient = parts[0].ambient_dim
-    for p in parts[1:]:
-        if p.ambient_dim != ambient:
-            raise ValueError("ambient mismatch among direct-sum parts")
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            if not subspace_intersection(parts[i], parts[j]).is_zero():
-                return False
-    total = Subspace.zero(ambient)
-    for p in parts:
-        total = subspace_sum(total, p)
-    return total.dim == sum(p.dim for p in parts)
+    """True iff the dimensions add up: the stacked rows have rank sum(dim)."""
+    if any(p.ambient_dim != parts[0].ambient_dim for p in parts):
+        raise ValueError("ambient mismatch among direct-sum parts")
+    return len(echelon(row for p in parts for row in p.rows)) == sum(p.dim for p in parts)
 
 
 def codim(y: Subspace) -> int:

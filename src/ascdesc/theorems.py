@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .chains import (
     ChainReport,
@@ -42,7 +43,6 @@ from .exact import (
     power_rank,
     rank,
     subspace_sum,
-    is_direct_sum,
     vstack,
 )
 from .gq import GQ, GaussianRational, as_gq, format_scalar
@@ -118,23 +118,31 @@ def _check_square_pair(s: Matrix, t: Matrix) -> int:
     return s.rows
 
 
+@lru_cache(maxsize=1)
+def _products(s: Matrix, t: Matrix) -> tuple[bool, Matrix]:
+    """Whether S and T commute, and T·S; H1 and H2 ask in turn for the same pair."""
+    st, ts = s @ t, t @ s
+    return st == ts, ts
+
+
 def _h1_kernel_split(s: Matrix, t: Matrix, top: int | None = None):
     """Kernel condition of the splitting hypothesis for p = 1..top (default dim)."""
     d = _check_square_pair(s, t)
     top = d if top is None else top
-    ts = t @ s
+    ts = _products(s, t)[1]
     for p in range(1, top + 1):
         n_t = power_kernel(t, p)
         n_s = power_kernel(s, p)
         n_ts = power_kernel(ts, p)
-        if not is_direct_sum([n_t, n_s]) or subspace_sum(n_t, n_s) != n_ts:
+        total = subspace_sum(n_t, n_s)  # a direct sum iff the dimensions add up
+        if total.dim != n_t.dim + n_s.dim or total != n_ts:
             return False, p, (n_t, n_s, n_ts)
     return True, None, None
 
 
 def check_H1(s: Matrix, t: Matrix) -> HypothesisReport:
     """Commutation plus the kernel-splitting condition for every power."""
-    commute = s @ t == t @ s
+    commute = _products(s, t)[0]
     holds, failing_p, spaces = _h1_kernel_split(s, t)
     return HypothesisReport(
         commute=commute, h1=holds, h1_failing_p=failing_p, h1_subspaces=spaces
@@ -144,7 +152,7 @@ def check_H1(s: Matrix, t: Matrix) -> HypothesisReport:
 def check_H2(s: Matrix, t: Matrix) -> HypothesisReport:
     """Descent index of TS plus the two range-inclusion alternatives."""
     _check_square_pair(s, t)
-    commute = s @ t == t @ s
+    commute = _products(s, t)[0]
     n0, inclusion = _h2_inclusion(s, t)
     return HypothesisReport(
         commute=commute, h2=inclusion is not None, h2_n0=n0, h2_inclusion=inclusion
@@ -153,7 +161,7 @@ def check_H2(s: Matrix, t: Matrix) -> HypothesisReport:
 
 def _h2_inclusion(s: Matrix, t: Matrix) -> tuple[int, str | None]:
     """Descent n0 of TS and the first range inclusion that holds at n0, if any."""
-    n0 = chain_report(t @ s).dsc
+    n0 = chain_report(_products(s, t)[1]).dsc
     if power_image(t, 1).contains(power_kernel(s, n0)):
         return n0, "N(S^n0) in R(T)"
     if power_image(s, 1).contains(power_kernel(t, n0)):
@@ -532,7 +540,7 @@ def _verify_lemma36(mats, instance, seed) -> TheoremVerdict:
                         note="splitting or inclusion hypothesis not met")
     dsc_t = chain_report(t).dsc
     dsc_s = chain_report(s).dsc
-    dsc_ts = chain_report(t @ s).dsc
+    dsc_ts = hyp.h2_n0  # H2's n0 is dsc(TS)
     witness.update({"dsc_T": dsc_t, "dsc_S": dsc_s, "dsc_TS": dsc_ts})
     ok = min(dsc_t, dsc_s) <= dsc_ts
     return _verdict("lemma36", instance, seed, "pass" if ok else "fail",
@@ -546,10 +554,9 @@ def _verify_thC(mats, instance, seed) -> TheoremVerdict:
     if not (hyp.commute and hyp.h1 and hyp.h2):
         return _verdict("thC", instance, seed, "inconclusive", witness,
                         note="splitting or inclusion hypothesis not met")
-    n0 = hyp.h2_n0
+    n0 = dsc_ts = hyp.h2_n0  # H2's n0 is dsc(TS)
     dsc_t = chain_report(t).dsc
     dsc_s = chain_report(s).dsc
-    dsc_ts = chain_report(t @ s).dsc
     codim_t = t.rows - power_rank(t, n0)
     codim_s = s.rows - power_rank(s, n0)
     witness.update(

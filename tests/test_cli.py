@@ -201,6 +201,23 @@ def assert_one_error_line(result, cause):
     assert cause in lines[0]
 
 
+@pytest.mark.parametrize(
+    "window", ["4,2,2_0", "\u0664,2,2", " 4,2,2", "+4,2,2", "-4,2,2", "4,2,2 ", "4,2", "4,,2"]
+)
+@pytest.mark.parametrize("verb", ["spectrum", "converge"])
+def test_window_parts_must_be_ascii_digits(tmp_path, verb, window):
+    if verb == "spectrum":
+        argv = ["spectrum", write(tmp_path, "s.json", SHIFT), "--tower", "--candidates", "0"]
+    else:
+        argv = ["converge", write(tmp_path, "seq.json", RESOLVENT_SEQ)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + [f"--window={window}"])
+    lines = err.getvalue().splitlines()
+    assert code == 2 and not out.getvalue(), err.getvalue()
+    assert len(lines) == 1 and lines[0].startswith("error: --window"), err.getvalue()
+
+
 def test_analyze_zero_denominator_exits_2(tmp_path):
     path = write(tmp_path, "m.json", {"rows": 1, "cols": 1, "field": "gq", "entries": [["1/0"]]})
     assert_one_error_line(run_cli("analyze", path), "denominator")

@@ -265,6 +265,16 @@ def test_direct_sum_examples():
     assert is_direct_sum([diag, e2])
 
 
+def test_three_lines_in_a_plane_are_not_a_direct_sum():
+    # no two of the lines meet, but three lines cannot be direct in a plane
+    lines = [span(2, [1, 0]), span(2, [0, 1]), span(2, [1, 1])]
+    assert all(
+        subspace_intersection(y, z).is_zero() for i, y in enumerate(lines) for z in lines[i + 1 :]
+    )
+    assert not is_direct_sum(lines)
+    assert is_direct_sum(lines[:2]) and is_direct_sum([])
+
+
 def test_codim():
     assert codim(span(3, [1, 0, 0], [0, 1, 0], [0, 0, 1])) == 0
     assert codim(Subspace.zero(3)) == 3
@@ -286,6 +296,33 @@ def test_dimension_formula(dim, seed_y, seed_z):
     assert (
         subspace_sum(y, z).dim + subspace_intersection(y, z).dim == y.dim + z.dim
     )
+
+
+@st.composite
+def _spanning_pairs(draw):
+    """Two matrices with the same column count, their row counts drawn apart."""
+    a = draw(gq_matrices())
+    return a, draw(gq_matrices(rows=a.cols)).transpose()
+
+
+@given(_spanning_pairs())
+@settings(max_examples=100, deadline=None)
+def test_sum_and_intersection_agree_with_oracle(pair):
+    a, b = pair
+    n = a.cols
+    y = Subspace.from_spanning_rows(n, a.to_lists())
+    z = Subspace.from_spanning_rows(n, b.to_lists())
+    assert (y.dim, z.dim) == (oracle_rank(a), oracle_rank(b))
+    r = oracle_rank(vstack(a, b))
+    total, meet = subspace_sum(y, z), subspace_intersection(y, z)
+    assert total.dim == r
+    assert meet.dim == y.dim + z.dim - r
+    for part in (a, b):  # Y + Z holds both, and Y ∩ Z lies in each
+        assert oracle_rank(vstack(total.basis, part)) == total.dim
+        assert oracle_rank(vstack(part, meet.basis)) == oracle_rank(part)
+    for space in (total, meet):
+        assert_reduced(list(space.rows))
+        assert Subspace(n, space.basis) == space  # raises unless the basis is canonical
 
 
 @given(small_dims, seeds, seeds)

@@ -1,6 +1,8 @@
+import hashlib
+
 import pytest
 
-from ascdesc.exact import Matrix, block_diag, matrix_to_obj
+from ascdesc.exact import Matrix, block_diag, matrix_from_obj, matrix_to_obj
 from ascdesc.gq import GQ
 from ascdesc.reporting import dumps
 from ascdesc.theorems import (
@@ -209,6 +211,46 @@ def test_small_batches_have_no_failures(theorem):
     summary = batch_summary(verdicts)
     assert summary["fail"] == 0, summary
     assert summary["pass"] >= 1
+
+
+# sha256 of dumps(run_batch(theorem, 0, 15)): the reports themselves are
+# pinned, not only their reruns, so a change to the exact core that alters
+# any verdict, witness or note shows here
+BATCH_SHA256 = {
+    "prop11": "481114911110e88638650500a07b2705a1d2b28565a740ab8fd05e361d66e6d5",
+    "th1": "79bbb4a044e4f6e27207ee80cf76561a1b34e2cbac4c824d9be542a1209def6c",
+    "theo34": "bb657322af205086e0152cd3a162bdc26405a27875da091bfb398b9478d054dc",
+    "monn": "38414a32804139013cd60da8b29eb86ddb02e560fa7435a510448421d02d4ed6",
+    "thC": "0a0ef6a8eb2179772b27825c2b9594dc4309620b295eff0d8697ad8978fa8dc1",
+    "nov": "97e97ec6c1c2e5ca1fab0d2277c441882af38858ba73ae897d7ab32827b1e586",
+    "lemma41": "15df0ab44d65ce5b35a9d626e1b551070806edecccd8a00eaca953ae5fcf2332",
+    "lemma_ca": "8039ae9c15411080714178ab4121d3027bf7332b81b5e2c46091d584577d5212",
+    "lemma35": "1052862ca9913065e743c4b0e8fb3eaf2ca0a10c96c5ca0fc82ee8bb0b9c7fd1",
+    "lemma36": "e08019d18021a4b2c34e3e1d6a71ef179d33efa81f2360474023b67c3d27195c",
+    "eq_mul": "ee90cda32a1df05c8e8dabfec813fe7a4332a9a68bfee39ae9443b0ddb76e9a2",
+    "app_blocks": "f677569756e84b0d5267b4b1cb30e194a7dc3f8d69c46496465c64cae5cbcb29",
+}
+
+
+@pytest.mark.parametrize("theorem", THEOREM_IDS)
+def test_batch_reports_match_pinned_digests(theorem):
+    text = dumps(run_batch(theorem, 0, 15))
+    assert hashlib.sha256(text.encode()).hexdigest() == BATCH_SHA256[theorem]
+
+
+def test_thC_forms_each_product_once(monkeypatch):
+    instance = instance_for("thC", 0)
+    s, t = (matrix_from_obj(instance["matrices"][name]) for name in ("S", "T"))
+    operands = []
+    matmul = Matrix.__matmul__
+
+    def counting(a, b):
+        operands.append((a, b))
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    verify("thC", instance)
+    assert operands.count((s, t)) <= 1 and operands.count((t, s)) <= 1, len(operands)
 
 
 def test_hypothesis_gating_never_fails():
