@@ -5,11 +5,12 @@ the descent is the first k with R(T^k) = R(T^k+1).  Both chains are
 monotone, so dimension comparisons decide subspace equality, and both
 stabilize no later than the ambient dimension.  In dimension d, rank
 nullity gives dim N(T^k) = d - rank(T^k), so both chains are read from
-rank(T^k) alone, one elimination per power, and asc = dsc.  The Prop 1.1
-predicates work on the canonical integer rows of the subspaces
-involved: each sum and intersection comes from one Zassenhaus
-elimination, and a witness complement is checked as a direct sum by
-its dimension.
+rank(T^k) alone, and asc = dsc.  The ranks are the lengths of T's
+row-space chain (:func:`ascdesc.exact.row_space_chain`), which also
+serves the kernels and ranges of powers.  The Prop 1.1 predicates work
+on the canonical integer rows of the subspaces involved: each sum and
+intersection comes from one Zassenhaus elimination, and a witness
+complement is checked as a direct sum by its dimension.
 """
 
 from __future__ import annotations
@@ -20,17 +21,14 @@ from .exact import (
     Matrix,
     Subspace,
     block_diag,
-    echelon,
     extend_echelon,
     image_basis,
-    integer_rows,
     integer_span,
     is_direct_sum,
     kernel_basis,
     power_image,
     power_kernel,
-    reduced_echelon,
-    row_times,
+    row_space_chain,
     solve_exact,
     subspace_intersection,
     sum_and_intersection,
@@ -68,27 +66,15 @@ class ChainReport:
 def chain_report(t: Matrix) -> ChainReport:
     """Kernel and range chains of T up to stabilization.
 
-    With D the common denominator of T, rank(T^k) = rank((DT)^k).  The
-    canonical reduced rows spanning the row space of (DT)^k, times the
-    sparse rows of DT, span the row space of (DT)^(k+1).  So each power
-    costs one forward elimination of rank(T^k) rows, plus a
-    back-substitution only when the chain has not yet stabilized.
+    rank(T^k) is the length of entry k of T's row-space chain
+    (:func:`ascdesc.exact.row_space_chain`), which stops at the first
+    power whose rank repeats.
     """
     if not t.is_square:
         raise ValueError("chain_report requires a square matrix")
     d = t.rows
-    t_rows = integer_rows(t)
-    range_dims = [d]
-    rows = t_rows
-    for _ in range(d + 1):
-        basis = echelon(rows)
-        r = len(basis)
-        range_dims.append(r)
-        if r == range_dims[-2]:
-            break
-        rows = [row_times(row, t_rows) for row in reduced_echelon(basis)]
-    else:
-        raise RuntimeError("chain failed to stabilize by the ambient dimension")
+    range_dims = [len(rows) for rows in row_space_chain(t)]
+    range_dims.append(range_dims[-1])
     kernel_dims = tuple(d - dim for dim in range_dims)
     asc = len(range_dims) - 2
     return ChainReport(kernel_dims, tuple(range_dims), asc, asc, kernel_dims[1], d - range_dims[1])
@@ -178,11 +164,7 @@ def compression(t: Matrix, p: Matrix) -> Matrix:
         raise ValueError("compression requires square matrices of equal size")
     if p @ p != p:
         raise ValueError("projection must be idempotent")
-    basis = image_basis(p)
-    r = basis.dim
-    if r == 0:
-        return Matrix.zeros(0, 0)
-    cols = basis.basis.transpose()  # d x r
+    cols = image_basis(p).basis.transpose()  # d x rank(P)
     mapped = p @ (t @ cols)
     return solve_exact(cols, mapped)
 

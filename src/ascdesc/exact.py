@@ -1,50 +1,59 @@
 """Exact matrices and canonical subspace algebra over the Gaussian rationals.
 
-A subspace is held as the canonical integer rows of its reduced
-row-echelon basis, so two subspaces are equal as sets exactly when their
-rows are identical.  The sum and the intersection of two subspaces come
-from one elimination (Zassenhaus's algorithm), and a sum is direct
-exactly when the dimensions add up.  Every operation here is exact;
-floating-point counterparts live in :mod:`ascdesc.numeric`.
-
-The exact core works on sparse rows of Gaussian integers: a matrix A
-with common denominator D is held as the rows of D*A, which has the same
-kernel, image and rank.  One elimination kernel serves ``rank``,
-``rref``, kernels, images and :func:`ascdesc.chains.chain_report`,
-keeping each pivot row as the unique representative of its line over
-Q(i): positive integer pivot, coprime components.  Rank is the forward
-pass alone; ``rref`` adds a back-substitution and one ``Fraction`` per
-nonzero entry.  Products multiply the integer rows of both operands, and
-each matrix caches one growable chain of the integer rows of (DA)^k, so
-N(A^k), R(A^k) and rank(A^k) are read from integer rows
-(:func:`power_kernel`, :func:`power_image`, :func:`power_rank`);
-``Matrix.power`` divides row k of the chain by D^k.  ``Fraction``s are
-made only when a matrix or a subspace's ``basis`` is read.
+A matrix A is held as D, the least positive integer making D*A a
+Gaussian-integer matrix, and the sparse rows of D*A, which have the same
+kernel, image and rank.  Equal matrices hold identical integers, and
+products, sums, shifts and transposes work on them; ``Fraction``s are
+made only when entries or a subspace's ``basis`` are read.  One
+elimination kernel serves ``rank``, ``rref``, kernels and images, keeping
+each pivot row as the unique representative of its line over Q(i):
+positive integer pivot, coprime components.  A subspace is held as the
+canonical rows of its reduced row-echelon basis, so subspaces are equal
+exactly when their rows are.  The sum and the intersection of two
+subspaces come from one elimination (Zassenhaus's algorithm), and a sum
+is direct exactly when the dimensions add up.  Each square matrix caches
+one chain of the canonical row bases of row(A^k), which stops where the
+rank repeats; :func:`ascdesc.chains.chain_report`, :func:`power_kernel`,
+:func:`power_image` and :func:`power_rank` all read it.  Floating-point
+counterparts live in :mod:`ascdesc.numeric`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from sympy.polys.domains import ZZ_I
 from sympy.polys.matrices import DomainMatrix
 
-from .gq import GQ, GaussianRational, as_gq, common_denominator, format_scalar, parse_scalar
+from .gq import (
+    GQ,
+    GaussianRational,
+    as_gq,
+    cleared,
+    common_denominator,
+    format_scalar,
+    parse_scalar,
+)
 
 Entryish = GaussianRational | Fraction | int
 
 _ZERO = GQ(0)
-_ONE = GQ(1)
 
 
 class Matrix:
-    """Immutable dense matrix with GaussianRational entries, row-major."""
+    """Immutable matrix over the Gaussian rationals, held as D and the rows of D*A.
 
-    __slots__ = ("rows", "cols", "entries", "_hash")
+    D is the least positive integer for which D*A has Gaussian-integer
+    entries, and ``int_rows[i]`` maps each column to the nonzero (re, im)
+    of row i of D*A.  So equal matrices hold identical integers, and
+    equality and hashing compare those.  The ``GaussianRational`` entries
+    are built on first read.
+    """
+
+    __slots__ = ("rows", "cols", "den", "int_rows", "_entries", "_hash")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[Entryish]):
         if rows < 0 or cols < 0:
@@ -52,10 +61,34 @@ class Matrix:
         ent = tuple(as_gq(e) for e in entries)
         if len(ent) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(ent)}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", ent)
-        object.__setattr__(self, "_hash", None)
+        den = common_denominator(ent)
+        int_rows = tuple(
+            {j: cleared(v, den) for j, v in enumerate(ent[i * cols : (i + 1) * cols]) if v}
+            for i in range(rows)
+        )
+        self._set(rows, cols, den, int_rows, ent)
+
+    @classmethod
+    def from_integer_rows(cls, cols: int, den: int, int_rows: Sequence[Row]) -> "Matrix":
+        """The matrix whose row i is int_rows[i] / den, for den > 0.
+
+        The rows hold nonzero Gaussian integers only, and are not copied.
+        D is made minimal by dividing out the gcd of den and every
+        component.
+        """
+        if den != 1:
+            g = gcd(den, *(v for row in int_rows for xy in row.values() for v in xy))
+            if g != 1:
+                den //= g
+                int_rows = [{j: (x // g, y // g) for j, (x, y) in row.items()} for row in int_rows]
+        self = object.__new__(cls)
+        self._set(len(int_rows), cols, den, tuple(int_rows), None)
+        return self
+
+    def _set(self, *values) -> None:
+        """Fill the slots in order; the hash is computed on first use."""
+        for name, value in zip(self.__slots__, (*values, None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -63,27 +96,34 @@ class Matrix:
     # construction helpers
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Entryish]]) -> "Matrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        flat: list[Entryish] = []
-        for row in rows:
-            if len(row) != c:
-                raise ValueError("ragged rows")
-            flat.extend(row)
-        return cls(r, c, flat)
+        c = len(rows[0]) if rows else 0
+        if any(len(row) != c for row in rows):
+            raise ValueError("ragged rows")
+        return cls(len(rows), c, [v for row in rows for v in row])
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [_ONE if i == j else _ZERO for i in range(n) for j in range(n)])
+        return cls.from_integer_rows(n, 1, [{i: (1, 0)} for i in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [_ZERO] * (rows * cols))
+        return cls.from_integer_rows(cols, 1, [{}] * rows)
 
     @classmethod
     def diag(cls, values: Sequence[Entryish]) -> "Matrix":
         n = len(values)
         return cls(n, n, [values[i] if i == j else _ZERO for i in range(n) for j in range(n)])
+
+    @property
+    def entries(self) -> tuple[GaussianRational, ...]:
+        """The entries, row-major, built from the integer rows on first read."""
+        if self._entries is None:
+            flat = [_ZERO] * (self.rows * self.cols)
+            for i, row in enumerate(self.int_rows):
+                for j, (x, y) in row.items():
+                    flat[i * self.cols + j] = GQ(Fraction(x, self.den), Fraction(y, self.den))
+            object.__setattr__(self, "_entries", tuple(flat))
+        return self._entries
 
     def at(self, i: int, j: int) -> GaussianRational:
         return self.entries[i * self.cols + j]
@@ -104,13 +144,15 @@ class Matrix:
         return (
             self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.den == other.den
+            and self.int_rows == other.int_rows
         )
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.rows, self.cols, self.entries))
+            rows = tuple(frozenset(row.items()) for row in self.int_rows)
+            h = hash((self.cols, self.den, rows))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -122,39 +164,49 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        return Matrix(
-            self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)]
-        )
+        den = lcm(self.den, other.den)
+        out = []
+        for row, other_row in zip(_rows_over(self, den), _rows_over(other, den)):
+            row = dict(row)
+            for j, (x, y) in other_row.items():
+                u, v = row.get(j, (0, 0))
+                if u + x or v + y:
+                    row[j] = (u + x, v + y)
+                else:
+                    del row[j]
+            out.append(row)
+        return Matrix.from_integer_rows(self.cols, den, out)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(
-            self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)]
-        )
+        return self + -other
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [-a for a in self.entries])
+        return self.scale(-1)
 
     def scale(self, factor: Entryish) -> "Matrix":
         f = as_gq(factor)
-        return Matrix(self.rows, self.cols, [f * a for a in self.entries])
+        if not f:
+            return Matrix.zeros(self.rows, self.cols)
+        f_den = common_denominator((f,))
+        a, b = cleared(f, f_den)
+        rows = [{j: (a * x - b * y, a * y + b * x) for j, (x, y) in row.items()}
+                for row in self.int_rows]
+        return Matrix.from_integer_rows(self.cols, self.den * f_den, rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(
                 f"dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        den_a, rows_a = cleared_rows(self)
-        den_b, rows_b = cleared_rows(other)
-        products = (row_times(row, rows_b) for row in rows_a)
-        return _matrix_of(products, self.rows, other.cols, repeat(den_a * den_b))
+        products = [row_times(row, other.int_rows) for row in self.int_rows]
+        return Matrix.from_integer_rows(other.cols, self.den * other.den, products)
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
+        columns: list[Row] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.int_rows):
+            for j, v in row.items():
+                columns[j][i] = v
+        return Matrix.from_integer_rows(self.rows, self.den, columns)
 
     def trace(self) -> GaussianRational:
         if not self.is_square:
@@ -165,21 +217,18 @@ class Matrix:
         """A - lam*I for square A."""
         if not self.is_square:
             raise ValueError("shift requires a square matrix")
-        lam = as_gq(lam)
-        flat = list(self.entries)
-        for i in range(self.rows):
-            flat[i * self.cols + i] = flat[i * self.cols + i] - lam
-        return Matrix(self.rows, self.cols, flat)
+        return self - Matrix.identity(self.rows).scale(lam)
 
     def power(self, k: int) -> "Matrix":
-        """A^k: row k of this matrix's cached integer chain, divided by D^k."""
-        rows = _power_rows(self, k)
-        return _matrix_of(rows, self.rows, self.cols, repeat(_powers(self)[0] ** k))
-
-    def apply(self, vector: Sequence[Entryish]) -> tuple[GaussianRational, ...]:
-        if len(vector) != self.cols:
-            raise ValueError("vector length must match column count")
-        return (self @ Matrix(self.cols, 1, vector)).entries
+        """A^k by repeated products."""
+        if not self.is_square:
+            raise ValueError("power requires a square matrix")
+        if k < 0:
+            raise ValueError("negative powers are not supported")
+        out = Matrix.identity(self.rows)
+        for _ in range(k):
+            out = out @ self
+        return out
 
     def _check_same_shape(self, other: "Matrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -188,28 +237,40 @@ class Matrix:
             )
 
 
+def _times(row: Row, p: int) -> Row:
+    return {j: (p * x, p * y) for j, (x, y) in row.items()}
+
+
+def _rows_over(a: Matrix, den: int) -> Sequence[Row]:
+    """The integer rows of den*A; den must be a multiple of A's D."""
+    p = den // a.den
+    return a.int_rows if p == 1 else [_times(row, p) for row in a.int_rows]
+
+
 def hstack(a: Matrix, b: Matrix) -> Matrix:
     if a.rows != b.rows:
         raise ValueError("hstack requires equal row counts")
-    rows = [list(a.row(i)) + list(b.row(i)) for i in range(a.rows)]
-    return Matrix(a.rows, a.cols + b.cols, [v for row in rows for v in row])
+    den = lcm(a.den, b.den)
+    rows = [{**left, **{j + a.cols: v for j, v in right.items()}}
+            for left, right in zip(_rows_over(a, den), _rows_over(b, den))]
+    return Matrix.from_integer_rows(a.cols + b.cols, den, rows)
 
 
 def vstack(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.cols:
         raise ValueError("vstack requires equal column counts")
-    return Matrix(a.rows + b.rows, a.cols, list(a.entries) + list(b.entries))
+    den = lcm(a.den, b.den)
+    return Matrix.from_integer_rows(a.cols, den, [*_rows_over(a, den), *_rows_over(b, den)])
 
 
 def block_diag(*blocks: Matrix) -> Matrix:
-    cols = sum(b.cols for b in blocks)
-    flat: list[Entryish] = []
+    den = lcm(*(b.den for b in blocks))
+    rows: list[Row] = []
     c0 = 0
     for b in blocks:
-        for i in range(b.rows):
-            flat += [_ZERO] * c0 + list(b.row(i)) + [_ZERO] * (cols - c0 - b.cols)
+        rows += [{j + c0: v for j, v in row.items()} for row in _rows_over(b, den)]
         c0 += b.cols
-    return Matrix(sum(b.rows for b in blocks), cols, flat)
+    return Matrix.from_integer_rows(c0, den, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -223,39 +284,12 @@ def block_diag(*blocks: Matrix) -> Matrix:
 Row = dict[int, tuple[int, int]]
 
 
-def cleared_rows(a: Matrix) -> tuple[int, list[Row]]:
-    """D, the common denominator of A's entries, and the sparse rows of D*A."""
-    den = common_denominator(a.entries)
-    rows = []
-    for i in range(a.rows):
-        row = {}
-        for j, v in enumerate(a.row(i)):
-            re, im = v.re, v.im
-            if re or im:
-                row[j] = (re.numerator * (den // re.denominator),
-                          im.numerator * (den // im.denominator))
-        rows.append(row)
-    return den, rows
-
-
-def integer_rows(a: Matrix) -> list[Row]:
-    """Sparse rows of D*A, D the common denominator of A's entries."""
-    return cleared_rows(a)[1]
-
-
-def _matrix_of(rows: Iterable[Row], n_rows: int, cols: int, dens: Iterable[int]) -> Matrix:
-    """The matrix whose row i is rows[i] / dens[i], zero-padded to n_rows rows."""
-    flat = [_ZERO] * (n_rows * cols)
-    for i, (row, den) in enumerate(zip(rows, dens)):
-        base = i * cols
-        for j, (x, y) in row.items():
-            flat[base + j] = GQ(Fraction(x, den), Fraction(y, den))
-    return Matrix(n_rows, cols, flat)
-
-
 def _rref_matrix(rows: list[Row], n_rows: int, cols: int) -> Matrix:
     """Canonical reduced rows, each divided by its pivot, zero-padded to n_rows rows."""
-    return _matrix_of(rows, n_rows, cols, (row[min(row)][0] for row in rows))
+    pivots = [row[min(row)][0] for row in rows]
+    den = lcm(*pivots)
+    scaled = [_times(row, den // p) for row, p in zip(rows, pivots)]
+    return Matrix.from_integer_rows(cols, den, scaled + [{}] * (n_rows - len(rows)))
 
 
 def _primitive(row: Row) -> Row:
@@ -355,7 +389,7 @@ def row_times(row: Row, rows: Sequence[Row]) -> Row:
 
 def _rref_rows(a: Matrix) -> list[Row]:
     """The canonical rows of A's reduced row-echelon form, zero rows dropped."""
-    return reduced_echelon(echelon(integer_rows(a)))
+    return reduced_echelon(echelon(a.int_rows))
 
 
 def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -369,7 +403,7 @@ def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 
 def rank(a: Matrix) -> int:
-    return len(echelon(integer_rows(a)))
+    return len(echelon(a.int_rows))
 
 
 class Subspace:
@@ -435,9 +469,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def basis_rows(self) -> list[tuple[GaussianRational, ...]]:
-        return [self.basis.row(i) for i in range(self.dim)]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
@@ -472,14 +503,14 @@ def integer_span(ambient_dim: int, rows: Iterable[Row]) -> Subspace:
     return Subspace._from_rows(ambient_dim, tuple(reduced_echelon(echelon(rows))))
 
 
-def _kernel(rows: list[Row], cols: int) -> Subspace:
-    """N(M), M the matrix with sparse rows ``rows`` and ``cols`` columns.
+def _null_space(reduced: Sequence[Row], cols: int) -> Subspace:
+    """N(M), M a matrix with ``cols`` columns and canonical reduced rows ``reduced``.
 
-    With L the lcm of the pivots of M's canonical RREF rows, free column
-    f contributes the integer vector L*e_f - sum over pivot rows R of
+    With L the lcm of the pivots of the rows, free column f contributes
+    the integer vector L*e_f - sum over pivot rows R of
     (L/P_R) * R[f] * e_pivot(R).
     """
-    lead = {min(row): row for row in reduced_echelon(echelon(rows))}
+    lead = {min(row): row for row in reduced}
     scale = lcm(*(row[c][0] for c, row in lead.items()))
     vectors = []
     for f in range(cols):
@@ -495,27 +526,14 @@ def _kernel(rows: list[Row], cols: int) -> Subspace:
     return integer_span(cols, vectors)
 
 
-def _image(rows: list[Row], cols: int) -> Subspace:
-    """R(M), M the matrix with sparse rows ``rows`` and ``cols`` columns.
-
-    The column space is the row space of the transpose: ``cols`` rows in
-    an ambient space of dimension ``len(rows)``.
-    """
-    columns: list[Row] = [{} for _ in range(cols)]
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            columns[j][i] = v
-    return integer_span(len(rows), columns)
-
-
 def kernel_basis(a: Matrix) -> Subspace:
     """Canonical basis of the null space {x : Ax = 0}."""
-    return _kernel(integer_rows(a), a.cols)
+    return _null_space(_rref_rows(a), a.cols)
 
 
 def image_basis(a: Matrix) -> Subspace:
-    """Canonical basis of the column space of A."""
-    return _image(integer_rows(a), a.cols)
+    """Canonical basis of the column space of A, the row space of its transpose."""
+    return integer_span(a.rows, a.transpose().int_rows)
 
 
 def sum_and_intersection(y: Subspace, z: Subspace) -> tuple[Subspace, Subspace]:
@@ -569,9 +587,8 @@ def char_poly(a: Matrix) -> tuple[GaussianRational, ...]:
     """
     if not a.is_square:
         raise ValueError("characteristic polynomial requires a square matrix")
-    n = a.rows
-    den, int_rows = cleared_rows(a)
-    rows = [[ZZ_I(*row.get(j, (0, 0))) for j in range(n)] for row in int_rows]
+    n, den = a.rows, a.den
+    rows = [[ZZ_I(*row.get(j, (0, 0))) for j in range(n)] for row in a.int_rows]
     coeffs = DomainMatrix(rows, (n, n), ZZ_I).charpoly()
     return tuple(
         GQ(Fraction(int(c.x), den ** (n - k)), Fraction(int(c.y), den ** (n - k)))
@@ -595,14 +612,11 @@ def solve_exact(a: Matrix, b: Matrix) -> Matrix:
     aug, pivots = rref(hstack(a, b))
     if len(pivots) < a.cols or any(p >= a.cols for p in pivots[: a.cols]):
         raise ValueError("coefficient matrix does not have full column rank")
-    for i in range(a.cols, a.rows):
-        if any(aug.at(i, j) for j in range(a.cols, a.cols + b.cols)):
-            raise ValueError("inconsistent linear system")
-    return Matrix(
-        a.cols,
-        b.cols,
-        [aug.at(i, a.cols + j) for i in range(a.cols) for j in range(b.cols)],
-    )
+    if any(aug.int_rows[a.cols :]):  # a pivot right of A's columns
+        raise ValueError("inconsistent linear system")
+    rows = [{j - a.cols: v for j, v in row.items() if j >= a.cols}
+            for row in aug.int_rows[: a.cols]]
+    return Matrix.from_integer_rows(b.cols, aug.den, rows)
 
 
 def invert(a: Matrix) -> Matrix:
@@ -665,43 +679,50 @@ def matrix_from_obj(obj: dict) -> Matrix:
 
 
 @lru_cache(maxsize=128)
-def _powers(a: Matrix) -> tuple[int, list[Row], list[list[Row]]]:
-    """D, the rows of D*A, and the growable chain [(DA)^0, (DA)^1, ...] of rows.
+def row_space_chain(a: Matrix) -> tuple[tuple[Row, ...], ...]:
+    """The canonical reduced rows of row(A^k) for k = 0, 1, ..., s.
 
-    Keyed by A alone.  (DA)^k = D^k A^k, so its kernel, image and rank are
-    those of A^k.  Memory is bounded by the cache: at most ``maxsize``
-    chains are held, and each is only as long as the largest exponent
-    asked of its matrix.  Growing appends to a list shared by every
-    caller, so this is not thread-safe.
+    row(A^(k+1)) = row(A^k) * A, so the rows of one basis times the rows
+    of D*A span the next row space: each power costs one forward
+    elimination of rank(A^k) rows, plus a back-substitution while the
+    rank still falls.  The chain stops at the first s with
+    rank(A^(s+1)) = rank(A^s); the row spaces are nested, so
+    row(A^k) = row(A^s) for every k >= s.  N(A^k) is the null space of
+    entry k, and R(A^k) is entry k of the chain of the transpose.
+    Keyed by A; at most ``maxsize`` chains are held.
     """
-    den, step = cleared_rows(a)
-    return den, step, [[{i: (1, 0)} for i in range(a.rows)]]
-
-
-def _power_rows(a: Matrix, k: int) -> list[Row]:
-    """Sparse rows of (DA)^k, grown on demand in A's cached chain."""
     if not a.is_square:
-        raise ValueError("power requires a square matrix")
+        raise ValueError("power chains require a square matrix")
+    chain = [tuple({i: (1, 0)} for i in range(a.rows))]
+    rows = a.int_rows
+    while True:
+        basis = echelon(rows)
+        if len(basis) == len(chain[-1]):
+            return tuple(chain)
+        chain.append(tuple(reduced_echelon(basis)))
+        rows = [row_times(row, a.int_rows) for row in chain[-1]]
+
+
+def _power_rows(a: Matrix, k: int) -> tuple[Row, ...]:
+    """The canonical reduced rows of row(A^k), read from A's chain."""
     if k < 0:
         raise ValueError("negative powers are not supported")
-    _, step, chain = _powers(a)
-    while len(chain) <= k:
-        chain.append([row_times(row, step) for row in chain[-1]])
-    return chain[k]
+    chain = row_space_chain(a)
+    return chain[min(k, len(chain) - 1)]
 
 
 @lru_cache(maxsize=4096)
 def power_kernel(a: Matrix, k: int) -> Subspace:
-    """N(A^k), read from A's integer power chain."""
-    return _kernel(_power_rows(a, k), a.cols)
+    """N(A^k), the null space of row(A^k)."""
+    return _null_space(_power_rows(a, k), a.cols)
 
 
 @lru_cache(maxsize=4096)
 def power_image(a: Matrix, k: int) -> Subspace:
-    """R(A^k), read from A's integer power chain."""
-    return _image(_power_rows(a, k), a.cols)
+    """R(A^k) = row((A^T)^k), read from the chain of the transpose."""
+    return Subspace._from_rows(a.rows, _power_rows(a.transpose(), k))
 
 
 def power_rank(a: Matrix, k: int) -> int:
-    """rank(A^k), read from A's integer power chain."""
-    return len(echelon(_power_rows(a, k)))
+    """rank(A^k), the length of entry k of A's chain."""
+    return len(_power_rows(a, k))

@@ -128,7 +128,6 @@ GQ = GaussianRational
 
 ZERO = GQ(0)
 ONE = GQ(1)
-I_UNIT = GQ(0, 1)
 
 
 def as_gq(value) -> GaussianRational:
@@ -139,6 +138,12 @@ def as_gq(value) -> GaussianRational:
 def common_denominator(values: Iterable[GaussianRational]) -> int:
     """Least positive D with D * v a Gaussian integer for every v."""
     return lcm(*{f.denominator for v in values for f in (v.re, v.im)})
+
+
+def cleared(value: GaussianRational, den: int) -> tuple[int, int]:
+    """den * value as a Gaussian integer (re, im); den must clear its denominators."""
+    re, im = value.re, value.im
+    return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)
 
 
 def parse_scalar(text: str) -> GaussianRational:

@@ -10,7 +10,8 @@ inconclusive.  The window is a heuristic and every verdict carries it;
 a quantity stable on one window may still move later.
 
 Truncation policy is compression: entries outside the leading N x N
-square are dropped.
+square are dropped.  Sections are built as the sparse integer rows of
+D*T_N (D the common denominator), in time proportional to their nonzeros.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from .chains import chain_report
 from .exact import (
     Matrix,
+    block_diag,
     json_array,
     json_object,
     matrix_from_obj,
@@ -27,7 +29,15 @@ from .exact import (
     power_rank,
     rank,
 )
-from .gq import GQ, GaussianRational, as_gq, format_scalar, parse_scalar
+from .gq import (
+    GQ,
+    GaussianRational,
+    as_gq,
+    cleared,
+    common_denominator,
+    format_scalar,
+    parse_scalar,
+)
 
 QUANTITIES = ("asc", "dsc", "alpha", "beta")
 
@@ -125,13 +135,8 @@ class DenseSpec(OperatorSpec):
         return max(self.matrix.rows, 1)
 
     def _realize(self, n: int) -> Matrix:
-        d = self.matrix.rows
-        flat = [GQ(0)] * (n * n)
-        for i in range(d):
-            row = self.matrix.row(i)
-            for j in range(d):
-                flat[i * n + j] = row[j]
-        return Matrix(n, n, flat)
+        m = self.matrix
+        return Matrix.from_integer_rows(n, m.den, [*m.int_rows, *[{}] * (n - m.rows)])
 
     def scaled(self, factor) -> "DenseSpec":
         return DenseSpec(self.matrix.scale(factor))
@@ -162,16 +167,17 @@ class BandedSpec(OperatorSpec):
         return req
 
     def _realize(self, n: int) -> Matrix:
-        flat = [GQ(0)] * (n * n)
+        scalars = {v for _, seq in self.diagonals for v in seq.pre + seq.period if v}
+        den = common_denominator(scalars)
+        integer = {v: cleared(v, den) for v in scalars}
+        rows: list[dict] = [{} for _ in range(n)]
         for offset, seq in self.diagonals:
-            if offset >= 0:
-                i0, j0 = 0, offset
-            else:
-                i0, j0 = -offset, 0
-            length = n - abs(offset)
-            for t in range(length):
-                flat[(i0 + t) * n + (j0 + t)] = seq.value(t)
-        return Matrix(n, n, flat)
+            i0, j0 = max(-offset, 0), max(offset, 0)
+            for t in range(n - abs(offset)):
+                v = seq.value(t)
+                if v:
+                    rows[i0 + t][j0 + t] = integer[v]
+        return Matrix.from_integer_rows(n, den, rows)
 
     def scaled(self, factor) -> "BandedSpec":
         f = as_gq(factor)
@@ -202,14 +208,12 @@ class FiniteRankSpec(OperatorSpec):
         return req
 
     def _realize(self, n: int) -> Matrix:
-        flat = [GQ(0)] * (n * n)
+        total = Matrix.zeros(n, n)
         for left, right in self.terms:
-            for i, lv in enumerate(left):
-                if lv:
-                    for j, rv in enumerate(right):
-                        if rv:
-                            flat[i * n + j] = flat[i * n + j] + lv * rv
-        return Matrix(n, n, flat)
+            column = Matrix(n, 1, [*left, *[GQ(0)] * (n - len(left))])
+            row = Matrix(1, n, [*right, *[GQ(0)] * (n - len(right))])
+            total = total + column @ row
+        return total
 
     def scaled(self, factor) -> "FiniteRankSpec":
         f = as_gq(factor)
@@ -296,17 +300,7 @@ class DirectSumSpec(OperatorSpec):
 
     def _realize(self, n: int) -> Matrix:
         sizes = self._allocate(n)
-        flat = [GQ(0)] * (n * n)
-        origin = 0
-        for p, size in zip(self.parts, sizes):
-            block = p.realize(size)
-            for i in range(size):
-                base = (origin + i) * n + origin
-                row = block.row(i)
-                for j in range(size):
-                    flat[base + j] = row[j]
-            origin += size
-        return Matrix(n, n, flat)
+        return block_diag(*(p.realize(size) for p, size in zip(self.parts, sizes)))
 
     def scaled(self, factor) -> "DirectSumSpec":
         return DirectSumSpec(tuple(p.scaled(factor) for p in self.parts))

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from ascdesc import chains
+from ascdesc import exact
 from ascdesc.chains import (
     chain_report,
     compression,
@@ -17,6 +17,7 @@ from ascdesc.exact import (
     is_direct_sum,
     power_image,
     power_kernel,
+    row_space_chain,
     subspace_sum,
 )
 from ascdesc.gq import GQ
@@ -88,8 +89,10 @@ def _dense_nilpotent(d):
 
 @pytest.mark.parametrize("d", [16, 20])
 def test_dense_nilpotent_chain_carries_canonical_reduced_rows(d, monkeypatch):
+    n, t = _dense_nilpotent(d)  # built before patching: products call row_times too
+    row_space_chain.cache_clear()
     carried = []
-    real_echelon, real_row_times = chains.echelon, chains.row_times
+    real_echelon, real_row_times = exact.echelon, exact.row_times
 
     def echelon(rows):
         carried.append([])
@@ -99,9 +102,8 @@ def test_dense_nilpotent_chain_carries_canonical_reduced_rows(d, monkeypatch):
         carried[-1].append(row)
         return real_row_times(row, rows)
 
-    monkeypatch.setattr(chains, "echelon", echelon)
-    monkeypatch.setattr(chains, "row_times", row_times)
-    n, t = _dense_nilpotent(d)
+    monkeypatch.setattr(exact, "echelon", echelon)
+    monkeypatch.setattr(exact, "row_times", row_times)
     rep = chain_report(t)
     kernel_dims, ranks, asc, dsc = brute_chain(n)  # similar matrices share chains
     assert rep.range_dims == tuple(ranks[: asc + 2]) and (rep.asc, rep.dsc) == (asc, dsc)

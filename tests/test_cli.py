@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -110,6 +111,56 @@ def test_spectrum_tower_needs_candidates(tmp_path):
     result = run_cli("spectrum", path, "--tower")
     assert result.returncode == 2
     assert "candidates" in result.stderr
+
+
+# Pinned sha256 of whole reports (stdout), so that any change in how
+# tower sections or dense matrices are built shows here.  Files are
+# written under fixed names, since the report echoes the command.
+DENSE_2X2 = {"rows": 2, "cols": 2, "field": "gq", "entries": [["1", "0"], ["0", "1/2+3/4i"]]}
+FORWARD_SHIFT = {"variant": "banded", "diagonals": {"-1": {"pre": [], "period": ["1"]}}}
+PINNED_INPUTS = {
+    "b.json": SHIFT,
+    "s.json": FORWARD_SHIFT,
+    "j3s.json": {"variant": "direct_sum", "parts": [{"variant": "dense", "matrix": JORDAN3},
+                                                     FORWARD_SHIFT]},
+    "bf.json": {"variant": "sum", "parts": [
+        SHIFT, {"variant": "finite_rank", "terms": [{"left": ["1", "0", "1/2"], "right": ["0", "1"]}]}]},
+    "w.json": {"variant": "banded", "diagonals": {
+        "1": {"pre": ["1/2"], "period": ["2/3", "3/4+1/5i"]}, "0": {"pre": [], "period": ["1/3"]}}},
+    "m.json": DENSE_2X2,
+    "j3.json": JORDAN3,
+}
+TOWER = ["--tower", "--window", "16,8,4", "--candidates"]
+PINNED_REPORTS = {
+    ("spectrum", "b.json", *TOWER, "0,1/2,2"):
+        "5261a47bf2295b638e4627ec76f41257e970513a0c64dd5b296eef28d77d15e2",
+    ("spectrum", "s.json", *TOWER, "0,1/2,2"):
+        "690d64468a2d436df085847ef338ff020c9028d08d9d97b6ff7a3ef6fd76daea",
+    ("spectrum", "j3s.json", *TOWER, "0,1,2"):
+        "1d9a3a6beb14ef11b5614a799fb0a2c1229a1761048fb6132442f457f602e066",
+    ("spectrum", "bf.json", *TOWER, "0,1,2"):
+        "437b3458a9558ad7192d55f23c2ce7f729440fd8d51f890f2ecd3e022aaa395b",
+    ("spectrum", "w.json", *TOWER, "0,1/3,1/2+1/2i"):
+        "d9c31574fcd98213a5bb419d00b9fd5ccfff076bd7464e7a99864a417a16eede",
+    ("analyze", "m.json"):
+        "cbf73581213bcf8d081047c3676e2afb3d51ac56afc1e92b8c9c13d70b94e3e4",
+    ("spectrum", "m.json"):
+        "a96f8cea3fb85e8dbe299c1fe82bc61f217782bc37e76e96bd1d1c63d652e7d2",
+    ("analyze", "j3.json"):
+        "762159299ff29f8ed8ca89a1d2d6b91be1b22b4bc575e96a285659cee017d50d",
+    ("spectrum", "j3.json"):
+        "44448aa98f2cc9ec172f31ffcff2e7ba624313c3e0c12542623f13d870aabb80",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_REPORTS), ids=" ".join)
+def test_reports_match_pinned_digests(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, argv[1], PINNED_INPUTS[argv[1]])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == PINNED_REPORTS[argv]
 
 
 def test_converge_trajectory_csv(tmp_path):

@@ -12,11 +12,9 @@ from ascdesc.exact import (
     block_diag,
     char_poly,
     codim,
-    _powers,
     echelon,
     hstack,
     image_basis,
-    integer_rows,
     invert,
     is_direct_sum,
     kernel_basis,
@@ -27,12 +25,14 @@ from ascdesc.exact import (
     power_rank,
     rank,
     reduced_echelon,
+    row_space_chain,
     rref,
     solve_exact,
     subspace_intersection,
     subspace_sum,
     vstack,
 )
+from ascdesc.chains import chain_report
 from ascdesc.gq import GQ
 
 from oracles import gi_matmul, oracle_rank, to_gaussian_int
@@ -160,7 +160,7 @@ def test_rank_and_rref_agree_with_oracle(m):
 @given(gq_matrices())
 @settings(max_examples=60, deadline=None)
 def test_elimination_rows_are_canonical_and_reduced(m):
-    basis = echelon(integer_rows(m))
+    basis = echelon(m.int_rows)
     assert_canonical(basis)
     assert [min(row) for row in basis] == sorted({min(row) for row in basis})
     assert_reduced(reduced_echelon(basis))
@@ -174,8 +174,8 @@ def test_reduced_rows_ignore_row_order_and_scale(m, rnd):
     rnd.shuffle(rows)
     scales = [GQ(rnd.choice([-3, 2, 5]), rnd.choice([-1, 0, 4])) for _ in rows]
     other = Matrix(m.rows, m.cols, [c * v for c, row in zip(scales, rows) for v in row])
-    want = reduced_echelon(echelon(integer_rows(m)))
-    assert reduced_echelon(echelon(integer_rows(other))) == want
+    want = reduced_echelon(echelon(m.int_rows))
+    assert reduced_echelon(echelon(other.int_rows)) == want
 
 
 def test_single_row_becomes_its_canonical_representative():
@@ -191,9 +191,9 @@ def test_dense_rref_entries_stay_within_the_hadamard_bound(d):
     m = dense_matrix(d, d, d)
     assert_rref_of(m)
     h2 = 1
-    for row in integer_rows(m):
+    for row in m.int_rows:
         h2 *= sum(x * x + y * y for x, y in row.values()) or 1  # zero rows drop out
-    rows = reduced_echelon(echelon(integer_rows(m)))
+    rows = reduced_echelon(echelon(m.int_rows))
     assert_reduced(rows)
     assert all(x * x + y * y <= h2 * h2 for row in rows for x, y in row.values())
 
@@ -383,16 +383,20 @@ def test_power_and_power_chain_share_one_chain():
     for k in range(6):
         assert a.power(k) == product
         product = product @ a
-    _powers.cache_clear()
-    a.power(3)
+    row_space_chain.cache_clear()
+    power_kernel.cache_clear()
+    report = chain_report(a)
+    power_kernel(a, 2)
     power_rank(a, 5)
-    info = _powers.cache_info()
+    info = row_space_chain.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
-    assert len(_powers(a)[2]) == 6  # (DA)^0 .. (DA)^5
+    assert len(row_space_chain(a)) == report.asc + 1  # row(A^0) .. row(A^asc)
     with pytest.raises(ValueError):
         Matrix.zeros(2, 3).power(1)
     with pytest.raises(ValueError):
         a.power(-1)
+    with pytest.raises(ValueError):
+        power_rank(a, -1)
 
 
 def _denominator(m):
@@ -497,6 +501,62 @@ def test_solve_and_invert():
     assert a @ x == Matrix.from_rows([[2], [1]])
     with pytest.raises(ValueError):
         solve_exact(Matrix.zeros(2, 2), Matrix.identity(2))
+
+
+# --- canonical form -----------------------------------------------------
+
+
+@st.composite
+def _two_paths(draw):
+    """A matrix built by an operation on integer rows, and (rows, cols, entries)
+    of the same matrix computed entry by entry in GaussianRational arithmetic."""
+    a = draw(gq_matrices(max_dim=5))
+    r, c = a.rows, a.cols
+    op = draw(st.sampled_from(["sum", "difference", "cancel", "negation", "scale",
+                               "product", "shifted", "transpose", "block_diag"]))
+    if op in ("sum", "difference"):
+        b = draw(_filled(r, c, _sparse_entries))
+        if op == "sum":
+            return a + b, (r, c, [x + y for x, y in zip(a.entries, b.entries)])
+        return a - b, (r, c, [x - y for x, y in zip(a.entries, b.entries)])
+    if op == "cancel":
+        return a.scale(GQ(1, 2)) - a.scale(GQ(1, 2)), (r, c, [GQ(0)] * (r * c))
+    if op == "negation":
+        return -a, (r, c, [-x for x in a.entries])
+    if op == "scale":
+        f = draw(_sparse_entries)
+        return a.scale(f), (r, c, [f * x for x in a.entries])
+    if op == "product":
+        b = draw(gq_matrices(max_dim=5, rows=c))
+        flat = [sum((a.at(i, k) * b.at(k, j) for k in range(c)), GQ(0))
+                for i in range(r) for j in range(b.cols)]
+        return a @ b, (r, b.cols, flat)
+    if op == "shifted":
+        a, lam = draw(gq_matrices(square=True, max_dim=5)), draw(_sparse_entries)
+        flat = [a.at(i, j) - lam if i == j else a.at(i, j)
+                for i in range(a.rows) for j in range(a.rows)]
+        return a.shifted(lam), (a.rows, a.rows, flat)
+    if op == "transpose":
+        return a.transpose(), (c, r, [a.at(i, j) for j in range(c) for i in range(r)])
+    b = draw(gq_matrices(max_dim=5))
+    rows = [list(a.row(i)) + [GQ(0)] * b.cols for i in range(r)]
+    rows += [[GQ(0)] * c + list(b.row(i)) for i in range(b.rows)]
+    return block_diag(a, b), (r + b.rows, c + b.cols, [v for row in rows for v in row])
+
+
+@given(_two_paths())
+@settings(max_examples=200, deadline=None)
+def test_every_path_reaches_the_same_canonical_form(pair):
+    got, (rows, cols, entries) = pair
+    want = Matrix(rows, cols, entries)
+    assert (got.rows, got.cols) == (rows, cols)
+    assert (got.den, got.int_rows, hash(got)) == (want.den, want.int_rows, hash(want))
+    assert got == want
+    components = [v for row in got.int_rows for xy in row.values() for v in xy]
+    assert got.den > 0 and gcd(got.den, *components) == 1  # D is minimal
+    assert all(xy != (0, 0) for row in got.int_rows for xy in row.values())
+    assert got.entries == want.entries == tuple(entries)
+    assert Matrix(rows, cols, got.entries) == got  # the entries round-trip
 
 
 # --- characteristic polynomial ------------------------------------------
