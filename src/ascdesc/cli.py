@@ -112,7 +112,10 @@ def _parse_window(text: str | None) -> TowerConfig:
 def _parse_candidates(text: str | None) -> list[GaussianRational]:
     if not text:
         raise ValueError("--candidates is required in tower mode")
-    return [parse_scalar(part) for part in text.split(",") if part.strip()]
+    parts = text.split(",")
+    if not all(part.strip() for part in parts):
+        raise ValueError(f"--candidates has an empty part in {text!r}")
+    return [parse_scalar(part) for part in parts]
 
 
 def _tolerance(args) -> Tolerance:
@@ -171,24 +174,7 @@ def _cmd_spectrum(args, argv) -> int:
         spec = spec_from_obj(_load_json(args.input))
         cfg = _parse_window(args.window)
         candidates = _parse_candidates(args.candidates)
-        asc_report = tower_spectrum(spec, candidates, "asc", cfg)
-        points = []
-        sigma_dsc = []
-        for entry in asc_report.entries:
-            obj = entry.to_obj()
-            obj["in_sigma_asc"] = obj.pop("in_spectrum")
-            dsc_verdict = entry.verdict("dsc")
-            obj["in_sigma_dsc"] = dsc_verdict.kind == "divergent"
-            if obj["in_sigma_dsc"]:
-                sigma_dsc.append(obj["lambda"])
-            points.append(obj)
-        report = {
-            "mode": "tower",
-            "window": list(cfg.window()),
-            "points": points,
-            "sigma_asc": [str(v) for v in asc_report.to_obj()["sigma"]],
-            "sigma_dsc": sigma_dsc,
-        }
+        report = {"mode": "tower", **tower_spectrum(spec, candidates, cfg).to_obj()}
     else:
         matrix = matrix_from_obj(_load_json(args.input))
         profile = ascent_spectrum(matrix)

@@ -50,7 +50,8 @@ from .tower import (
     SumSpec,
     TowerConfig,
     spec_from_obj,
-    tower_verdict,
+    window_profile,
+    window_sections,
 )
 
 PROBE_IDS = (
@@ -569,16 +570,18 @@ def _probe_tower(spec, proposition, lam, cfg: TowerConfig) -> TheoremVerdict:
     quantities = ("asc", "dsc") if proposition == "T1" else (
         ("asc",) if proposition in ("lem1", "lem2") else ("dsc",)
     )
-    samples = spec.samples()
+    # one profile per sequence member, read for each quantity
+    limit = window_profile(window_sections(spec.base, cfg), lam)
+    tail = [
+        window_profile(window_sections(_tower_perturbed(spec, n), cfg), lam)
+        for n in spec.samples()
+    ]
     results: dict = {}
     failures = []
     inconclusive = False
     for quantity in quantities:
-        limit_kind = tower_verdict(spec.base, lam, quantity, cfg).kind
-        tail_kinds = []
-        for n in samples:
-            pert_spec = _tower_perturbed(spec, n)
-            tail_kinds.append(tower_verdict(pert_spec, lam, quantity, cfg).kind)
+        limit_kind = limit[quantity].kind
+        tail_kinds = [profile[quantity].kind for profile in tail]
         results[quantity] = {"limit": limit_kind, "tail": tail_kinds}
         if limit_kind == "inconclusive" or "inconclusive" in tail_kinds:
             inconclusive = True

@@ -17,7 +17,7 @@ so a failure distinguishes the strengthening from the literal claim.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from .chains import (
@@ -34,6 +34,7 @@ from .exact import (
     block_diag,
     hstack,
     invert,
+    is_direct_sum,
     matrix_from_obj,
     matrix_to_obj,
     poly_of_matrix,
@@ -41,7 +42,6 @@ from .exact import (
     power_kernel,
     power_rank,
     rank,
-    subspace_sum,
     vstack,
 )
 from .gq import GQ, GaussianRational, as_gq, format_scalar
@@ -52,6 +52,8 @@ from .tower import (
     TowerConfig,
     classify_window,
     probed_power_rank,
+    window_profile,
+    window_sections,
 )
 
 THEOREM_IDS = (
@@ -80,7 +82,9 @@ class HypothesisReport:
 
     ``h1`` records whether N((TS)^p) = N(T^p) ⊕ N(S^p) for every p up
     to the ambient dimension (the chains stabilize there); on failure
-    the offending p and the three kernels are kept.  ``h2`` records
+    the offending p and the kernels N(T^p), N(S^p) are kept.  It is
+    evaluated for commuting pairs only: the test reads the equality off
+    commutation (see ``_h1_kernel_split``).  ``h2`` records
     whether, with n0 the descent of TS, one of N(S^n0) ⊆ R(T) or
     N(T^n0) ⊆ R(S) holds.  Fields not computed by a given check stay
     None.
@@ -89,7 +93,7 @@ class HypothesisReport:
     commute: bool
     h1: bool | None = None
     h1_failing_p: int | None = None
-    h1_subspaces: tuple[Subspace, Subspace, Subspace] | None = None
+    h1_subspaces: tuple[Subspace, Subspace] | None = None
     h2: bool | None = None
     h2_n0: int | None = None
     h2_inclusion: str | None = None
@@ -125,23 +129,28 @@ def _products(s: Matrix, t: Matrix) -> tuple[bool, Matrix]:
 
 
 def _h1_kernel_split(s: Matrix, t: Matrix, top: int | None = None):
-    """Kernel condition of the splitting hypothesis for p = 1..top (default dim)."""
+    """Kernel condition of the splitting hypothesis for p = 1..top (default dim).
+
+    For a commuting pair N(T^p) + N(S^p) lies in N((TS)^p), whose dimension
+    is at most dim N(T^p) + dim N(S^p); so the sum is N((TS)^p) exactly
+    when it is direct, and only that is tested.
+    """
     d = _check_square_pair(s, t)
     top = d if top is None else top
-    ts = _products(s, t)[1]
     for p in range(1, top + 1):
         n_t = power_kernel(t, p)
         n_s = power_kernel(s, p)
-        n_ts = power_kernel(ts, p)
-        total = subspace_sum(n_t, n_s)  # a direct sum iff the dimensions add up
-        if total.dim != n_t.dim + n_s.dim or total != n_ts:
-            return False, p, (n_t, n_s, n_ts)
+        if not is_direct_sum([n_t, n_s]):
+            return False, p, (n_t, n_s)
     return True, None, None
 
 
 def check_H1(s: Matrix, t: Matrix) -> HypothesisReport:
-    """Commutation plus the kernel-splitting condition for every power."""
+    """Commutation plus, for a commuting pair, kernel splitting for every power."""
     commute = _products(s, t)[0]
+    _check_square_pair(s, t)
+    if not commute:
+        return HypothesisReport(commute=False)
     holds, failing_p, spaces = _h1_kernel_split(s, t)
     return HypothesisReport(
         commute=commute, h1=holds, h1_failing_p=failing_p, h1_subspaces=spaces
@@ -173,16 +182,8 @@ def check_hypotheses(s: Matrix, t: Matrix) -> HypothesisReport:
     h1 = check_H1(s, t)
     h2 = check_H2(s, t)
     # any dense matrix has finite rank, so its first power already qualifies
-    f_tilde = "certain-true"
-    return HypothesisReport(
-        commute=h1.commute,
-        h1=h1.h1,
-        h1_failing_p=h1.h1_failing_p,
-        h1_subspaces=h1.h1_subspaces,
-        h2=h2.h2,
-        h2_n0=h2.h2_n0,
-        h2_inclusion=h2.h2_inclusion,
-        f_tilde=f_tilde,
+    return replace(
+        h1, h2=h2.h2, h2_n0=h2.h2_n0, h2_inclusion=h2.h2_inclusion, f_tilde="certain-true"
     )
 
 
@@ -804,19 +805,6 @@ def batch_summary(verdicts: list[TheoremVerdict]) -> dict:
 # tower-mode checks for the spectra-level statements
 
 
-def _window_sections(spec: OperatorSpec, cfg: TowerConfig) -> dict[int, Matrix]:
-    return {n: spec.realize(n) for n in cfg.window()}
-
-
-def _classify_quantity(sections, lam, quantity, cfg) -> str | int:
-    samples = []
-    for n in cfg.window():
-        rep = chain_report(sections[n].shifted(lam))
-        samples.append((n, getattr(rep, quantity)))
-    verdict = classify_window(quantity, samples)
-    return verdict.value if verdict.kind == "finite" else verdict.kind
-
-
 def _h1_window(s_secs, t_secs, lam, cfg, p_bound: int) -> bool:
     return all(
         _h1_kernel_split(s_secs[n].shifted(lam), t_secs[n].shifted(lam), p_bound)[0]
@@ -841,15 +829,15 @@ def verify_tower(
 ) -> TheoremVerdict:
     """Spectra-level statements tested literally over a candidate set.
 
-    Divergence across the window stands in for membership in the
-    ascent/descent spectrum.  Hypotheses checked on finite sections are
-    window-empirical: when they hold only empirically a failing
-    conclusion downgrades to inconclusive rather than fail.
+    Divergence in the window profile (``tower.window_profile``) of S, T
+    and S + T stands in for spectrum membership.  Hypotheses checked on
+    finite sections are window-empirical: when they hold only empirically
+    a failing conclusion downgrades to inconclusive rather than fail.
     """
     if theorem not in ("monn", "th1", "nov"):
         raise ValueError("tower mode covers the spectra-level statements only")
-    s_secs = _window_sections(s_spec, cfg)
-    t_secs = _window_sections(t_spec, cfg)
+    s_secs = window_sections(s_spec, cfg)
+    t_secs = window_sections(t_spec, cfg)
     sum_secs = {n: s_secs[n] + t_secs[n] for n in cfg.window()}
     prod_secs = {n: t_secs[n] @ s_secs[n] for n in cfg.window()}
     commute = all(
@@ -874,46 +862,34 @@ def verify_tower(
 
     quantity = "asc" if theorem in ("monn", "th1") else "dsc"
     rows = []
-    mismatches = []
     saw_inconclusive = False
     for lam in candidates:
         lam = as_gq(lam)
-        cls_sum = _classify_quantity(sum_secs, lam, quantity, cfg)
-        cls_s = _classify_quantity(s_secs, lam, quantity, cfg)
-        cls_t = _classify_quantity(t_secs, lam, quantity, cfg)
-        if "inconclusive" in (cls_sum, cls_s, cls_t):
+        sum_v, s_v, t_v = (
+            window_profile(secs, lam)[quantity] for secs in (sum_secs, s_secs, t_secs)
+        )
+        if "inconclusive" in (sum_v.kind, s_v.kind, t_v.kind):
             saw_inconclusive = True
         nonzero = lam != GQ(0)
-        in_sigma_sum = cls_sum == "divergent"
-        in_sigma_parts = cls_s == "divergent" or cls_t == "divergent"
-        row = {
-            "lambda": format_scalar(lam),
-            "sum": cls_sum,
-            "S": cls_s,
-            "T": cls_t,
-        }
+        in_sigma_sum = sum_v.kind == "divergent"
+        in_sigma_parts = s_v.kind == "divergent" or t_v.kind == "divergent"
+        row = {"lambda": format_scalar(lam), "sum": sum_v.label, "S": s_v.label, "T": t_v.label}
         if theorem == "monn":
             ok = not (nonzero and in_sigma_sum) or in_sigma_parts
-        elif theorem == "th1":
-            # literal implication: a sum without finite ascent is a member
-            sum_asc_finite = cls_sum not in ("divergent", "inconclusive")
-            member_r = (not sum_asc_finite) or not _h1_window(
-                s_secs, t_secs, lam, cfg, p_bound
-            )
-            row["in_R"] = member_r
-            lhs = member_r or (nonzero and in_sigma_sum)
-            rhs = member_r or (nonzero and in_sigma_parts)
-            ok = lhs == rhs
-        else:  # nov
-            member_mn = _in_M_or_N_window(s_secs, t_secs, prod_secs, sum_secs, lam, cfg, p_bound)
-            row["in_M_or_N"] = member_mn
-            lhs = member_mn or (nonzero and in_sigma_sum)
-            rhs = member_mn or (nonzero and in_sigma_parts)
-            ok = lhs == rhs
+        else:
+            if theorem == "th1":
+                # literal implication: a sum without finite ascent is a member
+                member = sum_v.kind != "finite" or not _h1_window(
+                    s_secs, t_secs, lam, cfg, p_bound
+                )
+                row["in_R"] = member
+            else:  # nov
+                member = _in_M_or_N_window(s_secs, t_secs, prod_secs, sum_v, lam, cfg, p_bound)
+                row["in_M_or_N"] = member
+            ok = (member or (nonzero and in_sigma_sum)) == (member or (nonzero and in_sigma_parts))
         row["ok"] = ok
         rows.append(row)
-        if not ok:
-            mismatches.append(row)
+    mismatches = [row for row in rows if not row["ok"]]
     witness["candidates"] = rows
     witness["mismatches"] = mismatches
     if mismatches:
@@ -932,33 +908,20 @@ def verify_tower(
     return _verdict(theorem, instance, None, verdict, witness, note=note)
 
 
-def _in_M_or_N_window(s_secs, t_secs, prod_secs, sum_secs, lam, cfg, p_bound) -> bool:
-    window = cfg.window()
-    # membership in the codimension exception set
-    dsc_vals = []
-    for n in window:
-        dsc_vals.append((n, chain_report(prod_secs[n].shifted(lam)).dsc))
-    dsc_cls = classify_window("dsc", dsc_vals)
-    if dsc_cls.kind != "finite":
-        in_m = True  # no finite descent index exists for the product
-    else:
-        n0 = dsc_cls.value
-        def grows(secs):
-            samples = []
-            for n in window:
-                shifted = secs[n].shifted(lam)
-                samples.append((n, n - power_rank(shifted, n0)))
-            return classify_window("beta", samples).kind == "divergent"
-        in_m = grows(s_secs) or grows(t_secs)
-    if in_m:
+def _in_M_or_N_window(s_secs, t_secs, prod_secs, sum_dsc, lam, cfg, p_bound) -> bool:
+    """Window membership in M or N; sum_dsc is the verdict on dsc(S + T - lambda)."""
+    prod_dsc = window_profile(prod_secs, lam)["dsc"]
+    # M: no finite descent index n0 for the product, or a divergent codim R(A^n0);
+    # N: no finite descent for the sum, or a hypothesis failing on the window
+    if prod_dsc.kind != "finite" or sum_dsc.kind != "finite":
         return True
-    # membership in the hypothesis-failure exception set
-    sum_dsc = classify_window(
-        "dsc", [(n, chain_report(sum_secs[n].shifted(lam)).dsc) for n in window]
-    )
-    if sum_dsc.kind != "finite":
+
+    def grows(secs):
+        samples = [(n, n - power_rank(a.shifted(lam), prod_dsc.value)) for n, a in secs.items()]
+        return classify_window("beta", samples).kind == "divergent"
+
+    if grows(s_secs) or grows(t_secs):
         return True
-    hyps = _h1_window(s_secs, t_secs, lam, cfg, p_bound) and _h2_window(
-        s_secs, t_secs, lam, cfg
+    return not (
+        _h1_window(s_secs, t_secs, lam, cfg, p_bound) and _h2_window(s_secs, t_secs, lam, cfg)
     )
-    return not hyps

@@ -1,13 +1,13 @@
 """Truncation towers for shift-like operators.
 
-Infinite-dimensional behaviour is modelled by finite sections: a
-structured operator description is realized as an N x N matrix for a
-window of increasing N, and a quantity (ascent, descent, kernel or
-cokernel dimension) is classified from how it moves across the window.
-A value that is constant on the whole window reads as finite, a value
-that strictly increases reads as divergent, anything else is
-inconclusive.  The window is a heuristic and every verdict carries it;
-a quantity stable on one window may still move later.
+Infinite-dimensional behaviour is modelled by finite sections: a spec is
+realized once as N x N matrices over a window of increasing N, and a point
+is decided by one chain report per shifted section (``window_profile``):
+ascent, descent, kernel and cokernel dimension are each classified by how
+they move across the window.  A value constant on the whole window reads
+as finite, a strictly increasing one as divergent, anything else is
+inconclusive.  The window is a heuristic and every verdict carries it; a
+quantity stable on one window may still move later.
 
 Truncation policy is compression: entries outside the leading N x N
 square are dropped.  Sections are built as the sparse integer rows of
@@ -16,6 +16,7 @@ D*T_N (D the common denominator), in time proportional to their nonzeros.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .chains import chain_report
@@ -40,22 +41,21 @@ from .gq import (
 )
 
 QUANTITIES = ("asc", "dsc", "alpha", "beta")
+# exponents 1..RANK_POWER_BOUND are probed by probed_power_rank
+RANK_POWER_BOUND = 4
 
 
 @dataclass(frozen=True)
 class TowerConfig:
-    """Window of truncation sizes plus the finite-rank probing depth."""
+    """Window of truncation sizes n0, n0 + step, ... (count sizes)."""
 
     n0: int = 16
     step: int = 8
     count: int = 4
-    rank_power_bound: int = 4
 
     def __post_init__(self):
         if self.n0 < 1 or self.step < 1 or self.count < 2:
             raise ValueError("window requires n0 >= 1, step >= 1, count >= 2")
-        if self.rank_power_bound < 1:
-            raise ValueError("rank_power_bound must be positive")
 
     def window(self) -> tuple[int, ...]:
         return tuple(self.n0 + k * self.step for k in range(self.count))
@@ -313,6 +313,11 @@ def _scalars(value, what: str) -> tuple[GaussianRational, ...]:
     return tuple(parse_scalar(str(v)) for v in json_array(value, what))
 
 
+# int() would also read "+1", "01", " 1", "1_0", "-0" and non-ASCII digits,
+# so two keys could name one offset and the last would silently win
+_OFFSET = re.compile(r"0|-?[1-9][0-9]*")
+
+
 def spec_from_obj(obj: dict) -> OperatorSpec:
     try:
         variant = obj["variant"]
@@ -325,6 +330,10 @@ def spec_from_obj(obj: dict) -> OperatorSpec:
             diags = {}
             for key, seq in json_object(obj.get("diagonals", {}), "diagonals").items():
                 seq = json_object(seq, f"diagonal {key}")
+                if not _OFFSET.fullmatch(key):
+                    raise ValueError(
+                        f"diagonal key {key!r} is not an integer offset in ASCII digits"
+                    )
                 diags[int(key)] = EventuallyPeriodic(
                     _scalars(seq.get("pre", []), f"diagonal {key} pre"),
                     _scalars(seq.get("period", []), f"diagonal {key} period"),
@@ -370,6 +379,11 @@ class TowerVerdict:
     kind: str  # "finite" | "divergent" | "inconclusive"
     value: int | None = None
 
+    @property
+    def label(self) -> int | str:
+        """The value when finite, the kind otherwise."""
+        return self.value if self.kind == "finite" else self.kind
+
     def to_obj(self) -> dict:
         obj = {
             "quantity": self.quantity,
@@ -391,16 +405,25 @@ def classify_window(quantity: str, samples: list[tuple[int, int]]) -> TowerVerdi
     return TowerVerdict(quantity, tuple(samples), "inconclusive")
 
 
-def window_reports(
-    spec: OperatorSpec, lam, cfg: TowerConfig = DEFAULT_CONFIG
-) -> list[tuple[int, "object"]]:
-    """Chain reports of the shifted sections across the window."""
+def window_sections(
+    spec: OperatorSpec, cfg: TowerConfig = DEFAULT_CONFIG
+) -> dict[int, Matrix]:
+    """Sections of spec at every window size, in window order."""
+    return {n: spec.realize(n) for n in cfg.window()}
+
+
+def window_profile(sections: dict[int, Matrix], lam) -> dict[str, TowerVerdict]:
+    """Classify asc, dsc, alpha and beta of (section - lambda) over the window.
+
+    One chain report per section serves all four quantities; every tower
+    reader decides a point here.
+    """
     lam = as_gq(lam)
-    out = []
-    for n in cfg.window():
-        section = spec.realize(n).shifted(lam)
-        out.append((n, chain_report(section)))
-    return out
+    reports = [(n, chain_report(a.shifted(lam))) for n, a in sections.items()]
+    return {
+        q: classify_window(q, [(n, getattr(rep, q)) for n, rep in reports])
+        for q in QUANTITIES
+    }
 
 
 def tower_verdict(
@@ -409,80 +432,49 @@ def tower_verdict(
     """Classify asc/dsc/alpha/beta of (spec - lambda) over the window."""
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
-    samples = [
-        (n, getattr(rep, quantity)) for n, rep in window_reports(spec, lam, cfg)
-    ]
-    return classify_window(quantity, samples)
-
-
-@dataclass(frozen=True)
-class TowerSpectrumEntry:
-    lam: GaussianRational
-    verdicts: tuple[tuple[str, TowerVerdict], ...]
-    in_spectrum: bool
-
-    def verdict(self, quantity: str) -> TowerVerdict:
-        return dict(self.verdicts)[quantity]
-
-    def to_obj(self) -> dict:
-        obj = {"lambda": format_scalar(self.lam), "in_spectrum": self.in_spectrum}
-        for name, verdict in self.verdicts:
-            obj[name] = verdict.kind if verdict.kind != "finite" else verdict.value
-        return obj
+    lam = as_gq(lam)
+    return window_profile(window_sections(spec, cfg), lam)[quantity]
 
 
 @dataclass(frozen=True)
 class TowerSpectrumReport:
-    """Per-candidate classification; divergent points form the spectrum."""
+    """Window profile per candidate; divergent asc (dsc) puts it in sigma_asc (sigma_dsc)."""
 
-    quantity: str
     config: TowerConfig
-    entries: tuple[TowerSpectrumEntry, ...]
+    points: tuple[tuple[GaussianRational, dict[str, TowerVerdict]], ...]
 
-    @property
-    def sigma(self) -> tuple[GaussianRational, ...]:
-        return tuple(e.lam for e in self.entries if e.in_spectrum)
+    def sigma(self, quantity: str) -> tuple[GaussianRational, ...]:
+        return tuple(lam for lam, p in self.points if p[quantity].kind == "divergent")
 
     def to_obj(self) -> dict:
         return {
-            "quantity": self.quantity,
             "window": list(self.config.window()),
-            "points": [e.to_obj() for e in self.entries],
-            "sigma": [format_scalar(v) for v in self.sigma],
+            "points": [
+                {
+                    "lambda": format_scalar(lam),
+                    **{q: verdict.label for q, verdict in profile.items()},
+                    "in_sigma_asc": profile["asc"].kind == "divergent",
+                    "in_sigma_dsc": profile["dsc"].kind == "divergent",
+                }
+                for lam, profile in self.points
+            ],
+            "sigma_asc": [format_scalar(v) for v in self.sigma("asc")],
+            "sigma_dsc": [format_scalar(v) for v in self.sigma("dsc")],
         }
 
 
 def tower_spectrum(
-    spec: OperatorSpec,
-    candidates,
-    quantity: str = "asc",
-    cfg: TowerConfig = DEFAULT_CONFIG,
+    spec: OperatorSpec, candidates, cfg: TowerConfig = DEFAULT_CONFIG
 ) -> TowerSpectrumReport:
-    """Desk-scale spectrum over a finite candidate set.
+    """Desk-scale ascent and descent spectra over a finite candidate set.
 
-    A candidate belongs to the spectrum exactly when the chosen
-    quantity classifies as divergent across the window.
+    The sections are realized once and profiled at each distinct candidate.
     """
-    if quantity not in QUANTITIES:
-        raise ValueError(f"unknown quantity {quantity!r}")
-    entries = []
-    seen = set()
-    for lam in candidates:
-        lam = as_gq(lam)
-        if lam in seen:
-            continue
-        seen.add(lam)
-        reports = window_reports(spec, lam, cfg)
-        verdicts = tuple(
-            (q, classify_window(q, [(n, getattr(rep, q)) for n, rep in reports]))
-            for q in QUANTITIES
-        )
-        selected = dict(verdicts)[quantity]
-        entries.append(
-            TowerSpectrumEntry(lam, verdicts, selected.kind == "divergent")
-        )
-    entries.sort(key=lambda e: e.lam.sort_key())
-    return TowerSpectrumReport(quantity, cfg, tuple(entries))
+    points = sorted({as_gq(lam) for lam in candidates}, key=lambda v: v.sort_key())
+    sections = window_sections(spec, cfg)
+    return TowerSpectrumReport(
+        cfg, tuple((lam, window_profile(sections, lam)) for lam in points)
+    )
 
 
 @dataclass(frozen=True)
@@ -554,18 +546,18 @@ def is_power_finite_rank(
     certain = _certain_power_rank(spec)
     if certain is not None:
         return certain
-    return probed_power_rank({n: spec.realize(n) for n in cfg.window()}, cfg)
+    return probed_power_rank(window_sections(spec, cfg), cfg)
 
 
 def probed_power_rank(sections: dict[int, Matrix], cfg: TowerConfig) -> PowerRankVerdict:
-    """Rank probe of the powers of given window sections, exponents 1..bound.
+    """Rank probe of the powers of given window sections, exponents 1..RANK_POWER_BOUND.
 
     The first exponent whose rank is the same on every section yields
     likely-true; none doing so yields likely-false.
     """
     window = cfg.window()
     seen = []
-    for exponent in range(1, cfg.rank_power_bound + 1):
+    for exponent in range(1, RANK_POWER_BOUND + 1):
         ranks = tuple(power_rank(sections[n], exponent) for n in window)
         seen.append((exponent, ranks))
         if all(r == ranks[0] for r in ranks):

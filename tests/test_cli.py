@@ -51,6 +51,13 @@ def write(tmp_path, name, obj):
     return str(path)
 
 
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def test_analyze_jordan3(tmp_path):
     path = write(tmp_path, "jordan3.json", JORDAN3)
     result = run_cli("analyze", path)
@@ -188,22 +195,67 @@ def test_converge_csv_rejects_probe(tmp_path):
     assert result.returncode == 2
 
 
+TOWER_SEQ = {
+    "base": SHIFT,
+    "perturbation": {
+        "rule": "scaled",
+        "exponent": 1,
+        "operator": {"variant": "finite_rank", "terms": [{"left": ["1"], "right": ["1"]}]},
+    },
+    "n_range": [1, 6, 1],
+}
+
+
 def test_converge_tower_sequence_probe(tmp_path):
-    seq = {
-        "base": SHIFT,
-        "perturbation": {
-            "rule": "scaled",
-            "exponent": 1,
-            "operator": {"variant": "finite_rank", "terms": [{"left": ["1"], "right": ["1"]}]},
-        },
-        "n_range": [1, 6, 1],
-    }
-    path = write(tmp_path, "towerseq.json", seq)
+    path = write(tmp_path, "towerseq.json", TOWER_SEQ)
     result = run_cli("converge", path, "--probe", "lem2", "--lambda", "0", "--window", "8,4,3")
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout)["report"]
     assert report["probe"]["verdict"] == "pass"
     assert report["probe"]["witness"]["classifications"]["asc"]["limit"] == "divergent"
+
+
+# Pinned sha256 of the tower probe reports on the sequence above, written
+# under a fixed name since the report echoes the command.
+TOWER_PROBE_SHA256 = {
+    ("lem1", "0"): "ea7915eb9faaa71f345fa0362b1cabc0e1a1268030ed1133d267a25f9deba1f7",
+    ("lem1", "2"): "954229e035645c8799a3b70c1ebf80e876b0ce6ea50c49533126dbb39d5106ee",
+    ("lem2", "0"): "f266bbeba82af4adda1553cc5417bcf470d6c94211ee0e17363bb9d97b1d39da",
+    ("lem2", "2"): "de14ecfd18cb687f5ef82734032417fc86d748d0cb77c43408aef73bcc0a27bc",
+    ("lem3", "0"): "742cd73a8ca7fece9966ccb533f457317a20a17a5568cc92c88818d807b67118",
+    ("lem3", "2"): "de4acac5340ba795a163bb2b1d253fa5ffee248884eea2c0421a1819a2ea5e0a",
+    ("lem4", "0"): "1a648e9910f59635861a0b9c1eb21bfb4d12f07ac2255dc63bf66ef054d7f381",
+    ("lem4", "2"): "fa977fb0c8a8b49a1ae51fe82df777620d02d1c8d6463a2d79ec4af553759047",
+    ("T1", "0"): "8fe37db3e84608969ac1c71b9ee37ecfcf52eab81c289b9143c7bd08623f2b9c",
+    ("T1", "2"): "3f7cfd9aa44dd169071837d314a760b59d09cf5758f08bdf004c01109196de2c",
+}
+
+
+@pytest.mark.parametrize("probe, lam", list(TOWER_PROBE_SHA256))
+def test_tower_probe_reports_match_pinned_digests(probe, lam, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "towerseq.json", TOWER_SEQ)
+    code, out, _ = run_main(
+        ["converge", "towerseq.json", "--probe", probe, "--lambda", lam, "--window", "6,3,3"]
+    )
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == TOWER_PROBE_SHA256[(probe, lam)]
+
+
+def test_spectrum_tower_realizes_each_section_once(tmp_path, monkeypatch):
+    from ascdesc.tower import OperatorSpec
+
+    sizes = []
+    realize = OperatorSpec.realize
+
+    def counting(spec, n):
+        sizes.append(n)
+        return realize(spec, n)
+
+    monkeypatch.setattr(OperatorSpec, "realize", counting)
+    path = write(tmp_path, "b.json", SHIFT)
+    argv = ["spectrum", path, "--tower", "--candidates", "0,1/2,2", "--window", "8,4,4"]
+    assert run_main(argv)[0] == 0
+    assert sizes == [8, 12, 16, 20]
 
 
 def test_converge_inconclusive_probe_exit_code(tmp_path):
@@ -267,6 +319,36 @@ def test_window_parts_must_be_ascii_digits(tmp_path, verb, window):
     lines = err.getvalue().splitlines()
     assert code == 2 and not out.getvalue(), err.getvalue()
     assert len(lines) == 1 and lines[0].startswith("error: --window"), err.getvalue()
+
+
+# int() reads all of these, so two keys could name one offset
+@pytest.mark.parametrize("key", ["+1", "01", " 1", "1 ", "1_0", "-0", "\u0661", "-01", "1.0", ""])
+def test_diagonal_keys_must_be_canonical_integers(tmp_path, key):
+    spec = {"variant": "banded", "diagonals": {key: {"pre": [], "period": ["1"]}}}
+    argv = ["spectrum", write(tmp_path, "d.json", spec), "--tower", "--candidates", "0"]
+    code, out, err = run_main(argv + ["--window", "8,4,3"])
+    lines = err.splitlines()
+    assert code == 2 and not out, err
+    assert len(lines) == 1 and lines[0].startswith("error: diagonal key"), err
+
+
+def test_diagonal_keys_cannot_name_one_offset_twice(tmp_path):
+    spec = {"variant": "banded", "diagonals": {"1": {"period": ["1"]}, "+1": {"period": ["2"]}}}
+    argv = ["spectrum", write(tmp_path, "d.json", spec), "--tower", "--candidates", "0"]
+    code, out, err = run_main(argv + ["--window", "8,4,3"])
+    assert code == 2 and not out and err.startswith("error: diagonal key '+1'"), err
+    ok = {"variant": "banded", "diagonals": {k: {"period": ["1"]} for k in ("-12", "-1", "0", "10")}}
+    argv = ["spectrum", write(tmp_path, "ok.json", ok), "--tower", "--candidates", "0"]
+    assert run_main(argv + ["--window", "16,4,3"])[0] == 0
+
+
+@pytest.mark.parametrize("candidates", [",", " ", "0,,2", "0,", ",0", "0, ,2"])
+def test_candidates_must_not_have_empty_parts(tmp_path, candidates):
+    argv = ["spectrum", write(tmp_path, "s.json", SHIFT), "--tower", "--window", "8,4,3"]
+    code, out, err = run_main(argv + [f"--candidates={candidates}"])
+    lines = err.splitlines()
+    assert code == 2 and not out, err
+    assert len(lines) == 1 and lines[0].startswith("error: --candidates"), err
 
 
 def test_analyze_zero_denominator_exits_2(tmp_path):

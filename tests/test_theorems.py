@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from ascdesc.exact import Matrix, block_diag, matrix_from_obj, matrix_to_obj
-from ascdesc.gq import GQ
+from ascdesc.gq import GQ, parse_scalar
 from ascdesc.reporting import dumps
 from ascdesc.theorems import (
     THEOREM_IDS,
@@ -21,7 +21,14 @@ from ascdesc.theorems import (
     verify,
     verify_tower,
 )
-from ascdesc.tower import BandedSpec, DenseSpec, DirectSumSpec, TowerConfig, backward_shift
+from ascdesc.tower import (
+    BandedSpec,
+    DenseSpec,
+    DirectSumSpec,
+    TowerConfig,
+    backward_shift,
+    forward_shift,
+)
 
 J2 = Matrix.from_rows([[0, 1], [0, 0]])
 I2 = Matrix.identity(2)
@@ -41,8 +48,19 @@ def test_h1_fails_for_shared_kernel():
     report = check_H1(J2, J2)
     assert report.commute and not report.h1
     assert report.h1_failing_p == 1
-    n_t, n_s, n_ts = report.h1_subspaces
-    assert n_t == n_s and n_ts.dim == 2
+    n_t, n_s = report.h1_subspaces
+    assert n_t == n_s and n_t.dim == 1
+
+
+def test_h1_not_evaluated_for_non_commuting_pair():
+    # J2 J2^T = diag(1, 0) but J2^T J2 = diag(0, 1)
+    s, t = J2, J2.transpose()
+    report = check_H1(s, t)
+    assert not report.commute and report.h1 is None and report.h1_subspaces is None
+    assert "h1" not in check_hypotheses(s, t).to_obj()
+    inst = {"theorem": "th1", "seed": None,
+            "matrices": {"S": matrix_to_obj(s), "T": matrix_to_obj(t)}}
+    assert verify("th1", inst).verdict == "inconclusive"
 
 
 def test_h1_trivial_with_identity():
@@ -307,6 +325,44 @@ def test_tower_nov_equality():
     s_spec, t_spec = _block_fixture()
     verdict = verify_tower("nov", s_spec, t_spec, [GQ(0), GQ(2)], CFG, p_bound=2)
     assert verdict.verdict == "pass", verdict.witness
+
+
+# sha256 of dumps(verify_tower(...)) at four points on CFG, so that a change
+# in how tower points are classified shows in the whole report
+TOWER_PAIRS = {
+    "block": _block_fixture,
+    "B,2B": lambda: (backward_shift(), backward_shift().scaled(GQ(2))),
+    "S,S": lambda: (forward_shift(), forward_shift()),
+}
+TOWER_SHA256 = {
+    ("monn", "block", 2): "a8055e49f884b3969a02b998da725066e2fdcc3a65bc75deeb3658c691540014",
+    ("monn", "block", 3): "a8055e49f884b3969a02b998da725066e2fdcc3a65bc75deeb3658c691540014",
+    ("monn", "B,2B", 2): "0956ff5c26b7939c0953bf0891851abe327a51f8055daaf38927bf24fd7818ab",
+    ("monn", "B,2B", 3): "0956ff5c26b7939c0953bf0891851abe327a51f8055daaf38927bf24fd7818ab",
+    ("monn", "S,S", 2): "fdf53175ff9e9b5cc912228bc9860136a27f82d91d9918697aabd069abc05257",
+    ("monn", "S,S", 3): "fdf53175ff9e9b5cc912228bc9860136a27f82d91d9918697aabd069abc05257",
+    ("th1", "block", 2): "f6c96a0ed63982648157da2e5200c0ef66e747e3d5368538a8581608a7821a21",
+    ("th1", "block", 3): "f6c96a0ed63982648157da2e5200c0ef66e747e3d5368538a8581608a7821a21",
+    ("th1", "B,2B", 2): "58f1c97674674c6be5581dfa3d8d86f2a7e20c32fd46dc9c0cb008deb963022a",
+    ("th1", "B,2B", 3): "58f1c97674674c6be5581dfa3d8d86f2a7e20c32fd46dc9c0cb008deb963022a",
+    ("th1", "S,S", 2): "a302f06af23e2d84eec22122922ceb9c48a27d108c6ea155cd2aab522cd95728",
+    ("th1", "S,S", 3): "a302f06af23e2d84eec22122922ceb9c48a27d108c6ea155cd2aab522cd95728",
+    ("nov", "block", 2): "d6fbc50878bd73cbb51dfce30edef17894f1c10f5b677d5550acbaad6e972faf",
+    ("nov", "block", 3): "d6fbc50878bd73cbb51dfce30edef17894f1c10f5b677d5550acbaad6e972faf",
+    ("nov", "B,2B", 2): "1d9ae5cc9aac24b6cfaee38cc281b88949f493ac7bceeee5b2d6ea394f75104b",
+    ("nov", "B,2B", 3): "1d9ae5cc9aac24b6cfaee38cc281b88949f493ac7bceeee5b2d6ea394f75104b",
+    ("nov", "S,S", 2): "fd4a67045063ca3bb113b363d27ffac0959ffb25dd54037e6712eac53ebee0f2",
+    ("nov", "S,S", 3): "fd4a67045063ca3bb113b363d27ffac0959ffb25dd54037e6712eac53ebee0f2",
+}
+
+
+@pytest.mark.parametrize("key", list(TOWER_SHA256), ids=lambda k: "-".join(map(str, k)))
+def test_tower_reports_match_pinned_digests(key):
+    theorem, pair, p_bound = key
+    s_spec, t_spec = TOWER_PAIRS[pair]()
+    points = [GQ(0), GQ(1), GQ(2), parse_scalar("1/2+1/2i")]
+    verdict = verify_tower(theorem, s_spec, t_spec, points, CFG, p_bound)
+    assert hashlib.sha256(dumps(verdict).encode()).hexdigest() == TOWER_SHA256[key]
 
 
 def test_tower_rejects_non_spectral_theorems():

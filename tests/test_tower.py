@@ -168,23 +168,23 @@ def test_finite_verdicts_stable_across_disjoint_windows():
 
 
 def test_tower_spectrum_candidates():
-    report = tower_spectrum(backward_shift(), [GQ(0), GQ(2)], "asc", CFG)
-    assert [str(v) for v in report.sigma] == ["0"]
-    entry = {str(e.lam): e for e in report.entries}
-    assert entry["0"].in_spectrum and not entry["2"].in_spectrum
-    assert entry["2"].verdict("asc").value == 0
+    report = tower_spectrum(backward_shift(), [GQ(0), GQ(2)], CFG)
+    assert [str(v) for v in report.sigma("asc")] == ["0"]
+    profile = {str(lam): p for lam, p in report.points}
+    assert profile["0"]["asc"].kind == "divergent" and profile["2"]["asc"].kind != "divergent"
+    assert profile["2"]["asc"].value == 0
 
 
 def test_tower_spectrum_forward_descent():
-    report = tower_spectrum(forward_shift(), [GQ(0)], "dsc", CFG)
-    assert [str(v) for v in report.sigma] == ["0"]
+    report = tower_spectrum(forward_shift(), [GQ(0)], CFG)
+    assert [str(v) for v in report.sigma("dsc")] == ["0"]
 
 
 def test_tower_spectrum_dense_not_in_sigma():
     spec = DirectSumSpec((DenseSpec(J3), identity_tail()))
-    report = tower_spectrum(spec, [GQ(0)], "asc", CFG)
-    assert report.sigma == ()
-    assert report.entries[0].verdict("asc").value == 3
+    report = tower_spectrum(spec, [GQ(0)], CFG)
+    assert report.sigma("asc") == ()
+    assert report.points[0][1]["asc"].value == 3
 
 
 def test_power_finite_rank_examples():
