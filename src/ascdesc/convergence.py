@@ -428,11 +428,18 @@ def probe(
     if proposition not in PROBE_IDS:
         raise ValueError(f"unknown proposition id {proposition!r}")
     if spec.is_tower:
-        return _probe_tower(spec, proposition, lam, cfg)
-    return _probe_dense(spec, proposition, lam, tol, traj)
+        verdict, witness, note = _probe_tower(spec, proposition, lam, cfg)
+    else:
+        verdict, witness, note = _probe_dense(spec, proposition, lam, tol, traj)
+    instance = {
+        "proposition": proposition,
+        "sequence": spec.to_obj(),
+        "lambda": witness["lambda"],
+    }
+    return TheoremVerdict(f"probe:{proposition}", verdict, witness, instance, note=note)
 
 
-def _probe_dense(spec, proposition, lam, tol: Tolerance, traj) -> TheoremVerdict:
+def _probe_dense(spec, proposition, lam, tol: Tolerance, traj):
     lam_gq = lam if isinstance(lam, GaussianRational) else None
     shift = lam_gq.to_complex() if lam_gq is not None else complex(lam)
     # one realization serves both views: the hypotheses are stated for
@@ -483,31 +490,20 @@ def _probe_dense(spec, proposition, lam, tol: Tolerance, traj) -> TheoremVerdict
         "chain_conditions": _CHAIN_CONDITIONS,
         "rank_jumps": list(shifted.rank_jumps),
     }
-    instance = {
-        "proposition": proposition,
-        "sequence": spec.to_obj(),
-        "lambda": witness["lambda"],
-    }
 
     if proposition in _SUB_PROBES:
         entry = sub_results[proposition]
         if not entry["hypotheses_met"]:
-            return _probe_verdict(proposition, instance, witness, "inconclusive",
-                                  note="hypothesis not met")
+            return "inconclusive", witness, "hypothesis not met"
         if entry["classification"] == "converged":
-            return _probe_verdict(proposition, instance, witness, "pass")
+            return "pass", witness, ""
         if entry["classification"] == "not-converged":
-            return _probe_verdict(
-                proposition, instance, witness, "fail",
-                note=f"{proposition}: conclusion fails with hypotheses met",
-            )
-        return _probe_verdict(proposition, instance, witness, "inconclusive",
-                              note="tail in the gray zone")
+            return "fail", witness, f"{proposition}: conclusion fails with hypotheses met"
+        return "inconclusive", witness, "tail in the gray zone"
 
     stated = _STATED_HYPS[proposition]
     if any(hyp_flags[h] != "met" for h in stated):
-        return _probe_verdict(proposition, instance, witness, "inconclusive",
-                              note="stated hypotheses not met")
+        return "inconclusive", witness, "stated hypotheses not met"
 
     failures = []
     pending = False
@@ -522,22 +518,10 @@ def _probe_dense(spec, proposition, lam, tol: Tolerance, traj) -> TheoremVerdict
 
     witness["machinery_failures"] = failures
     if failures:
-        return _probe_verdict(proposition, instance, witness, "fail",
-                              note="; ".join(failures))
+        return "fail", witness, "; ".join(failures)
     if pending:
-        return _probe_verdict(proposition, instance, witness, "inconclusive",
-                              note="sub-lemma tail in the gray zone")
-    return _probe_verdict(proposition, instance, witness, "pass")
-
-
-def _probe_verdict(proposition, instance, witness, verdict, note="") -> TheoremVerdict:
-    return TheoremVerdict(
-        theorem=f"probe:{proposition}",
-        verdict=verdict,
-        witness=witness,
-        instance=instance,
-        note=note,
-    )
+        return "inconclusive", witness, "sub-lemma tail in the gray zone"
+    return "pass", witness, ""
 
 
 def _tower_sample_matrices(spec: SequenceSpec, lam: GaussianRational, cfg: TowerConfig):
@@ -562,7 +546,7 @@ def _tower_perturbed(spec: SequenceSpec, n: int) -> OperatorSpec:
     return SumSpec((spec.base, pert.direction.scaled(factor)))
 
 
-def _probe_tower(spec, proposition, lam, cfg: TowerConfig) -> TheoremVerdict:
+def _probe_tower(spec, proposition, lam, cfg: TowerConfig):
     if not isinstance(lam, GaussianRational):
         raise ValueError("tower probes need an exact Gaussian-rational point")
     if proposition in _SUB_PROBES:
@@ -601,15 +585,8 @@ def _probe_tower(spec, proposition, lam, cfg: TowerConfig) -> TheoremVerdict:
         "classifications": results,
         "failures": failures,
     }
-    instance = {
-        "proposition": proposition,
-        "sequence": spec.to_obj(),
-        "lambda": format_scalar(lam),
-    }
     if failures:
-        return _probe_verdict(proposition, instance, witness, "fail",
-                              note="; ".join(failures))
+        return "fail", witness, "; ".join(failures)
     if inconclusive:
-        return _probe_verdict(proposition, instance, witness, "inconclusive",
-                              note="window classification inconclusive")
-    return _probe_verdict(proposition, instance, witness, "pass")
+        return "inconclusive", witness, "window classification inconclusive"
+    return "pass", witness, ""

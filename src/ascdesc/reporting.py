@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import is_dataclass
 from fractions import Fraction
 
 from .gq import GaussianRational, format_scalar
@@ -38,8 +37,6 @@ def normalize(obj):
         return obj
     if isinstance(obj, str):
         return obj
-    if is_dataclass(obj) and hasattr(obj, "to_obj"):
-        return normalize(obj.to_obj())
     if hasattr(obj, "to_obj"):
         return normalize(obj.to_obj())
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")

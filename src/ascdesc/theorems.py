@@ -11,7 +11,12 @@ Several checks are quantitative strengthenings read off the underlying
 stabilization indices (for example asc(TS) = max(asc T, asc S) for a
 kernel-splitting commuting pair, where the literal statement only
 asserts finiteness).  Those verdicts are flagged ``quantitative_form``
-so a failure distinguishes the strengthening from the literal claim.
+so a failure distinguishes the strengthening from the literal claim:
+the flag is set for theo34, lemma35, lemma36, eq_mul, lemma41 and
+lemma_ca whenever the verdict is not ``inconclusive``.
+
+Each statement's handler returns its findings (verdict, witness, note);
+``verify`` alone wraps them in a ``TheoremVerdict``.
 """
 
 from __future__ import annotations
@@ -49,7 +54,9 @@ from .spectra import eigenvalues_exact, point_profile
 from .tower import (
     DEFAULT_CONFIG,
     OperatorSpec,
+    PowerRankVerdict,
     TowerConfig,
+    _certain_power_rank,
     classify_window,
     probed_power_rank,
     window_profile,
@@ -458,32 +465,44 @@ def _instance_matrices(instance: dict) -> dict[str, Matrix]:
 # verification
 
 
+# statements checked in a quantitative form (see the module docstring)
+_QUANTITATIVE = frozenset({"theo34", "lemma35", "lemma36", "eq_mul", "lemma41", "lemma_ca"})
+
+
 def verify(theorem: str, instance: dict) -> TheoremVerdict:
     """Check one theorem on one instance; hypotheses gate the verdict."""
     if theorem not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {theorem!r}")
     mats = _instance_matrices(instance)
-    seed = instance.get("seed")
-    handler = _HANDLERS[theorem]
     try:
-        return handler(mats, instance, seed)
+        verdict, witness, note = _HANDLERS[theorem](mats, instance)
     except KeyError as exc:
         raise ValueError(f"malformed instance: missing matrix {exc}") from exc
-
-
-def _verdict(theorem, instance, seed, verdict, witness, quantitative=False, note=""):
     return TheoremVerdict(
         theorem=theorem,
         verdict=verdict,
         witness=witness,
         instance=instance,
-        seed=seed,
-        quantitative_form=quantitative,
+        seed=instance.get("seed"),
+        quantitative_form=theorem in _QUANTITATIVE and verdict != "inconclusive",
         note=note,
     )
 
 
-def _verify_prop11(mats, instance, seed) -> TheoremVerdict:
+def _chains(witness: dict, quantities, **operators: Matrix) -> dict:
+    """Write the chain index q of each named operator as witness entry q_name."""
+    for name, op in operators.items():
+        rep = chain_report(op)
+        for q in quantities:
+            witness[f"{q}_{name}"] = getattr(rep, q)
+    return witness
+
+
+def _pass_or_fail(ok: bool) -> str:
+    return "pass" if ok else "fail"
+
+
+def _verify_prop11(mats, instance):
     t = mats["T"]
     rep = chain_report(t)
     failures = []
@@ -496,155 +515,84 @@ def _verify_prop11(mats, instance, seed) -> TheoremVerdict:
         if prop_dsc_predicate(t, m).holds != (rep.dsc <= m):
             failures.append({"m": m, "side": "dsc"})
     witness = {"asc": rep.asc, "dsc": rep.dsc, "failures": failures}
-    return _verdict(
-        "prop11", instance, seed, "fail" if failures else "pass", witness
-    )
+    return _pass_or_fail(not failures), witness, ""
 
 
-def _verify_theo34(mats, instance, seed) -> TheoremVerdict:
+def _verify_theo34(mats, instance):
     s, t = mats["S"], mats["T"]
     hyp = check_H1(s, t)
-    witness: dict = {"hypotheses": hyp.to_obj()}
+    w: dict = {"hypotheses": hyp.to_obj()}
     if not (hyp.commute and hyp.h1):
-        return _verdict("theo34", instance, seed, "inconclusive", witness,
-                        note="kernel-splitting hypothesis not met")
-    asc_t = chain_report(t).asc
-    asc_s = chain_report(s).asc
-    asc_ts = chain_report(t @ s).asc
-    witness.update({"asc_T": asc_t, "asc_S": asc_s, "asc_TS": asc_ts})
-    ok = asc_ts == max(asc_t, asc_s)
-    return _verdict("theo34", instance, seed, "pass" if ok else "fail",
-                    witness, quantitative=True)
+        return "inconclusive", w, "kernel-splitting hypothesis not met"
+    _chains(w, ("asc",), T=t, S=s, TS=_products(s, t)[1])
+    return _pass_or_fail(w["asc_TS"] == max(w["asc_T"], w["asc_S"])), w, ""
 
 
-def _verify_lemma35(mats, instance, seed) -> TheoremVerdict:
+def _verify_lemma35(mats, instance):
     s, t = mats["S"], mats["T"]
-    if s @ t != t @ s:
-        return _verdict("lemma35", instance, seed, "inconclusive",
-                        {"commute": False}, note="operators do not commute")
-    dsc_t = chain_report(t).dsc
-    dsc_s = chain_report(s).dsc
-    dsc_ts = chain_report(s @ t).dsc
-    witness = {"dsc_T": dsc_t, "dsc_S": dsc_s, "dsc_TS": dsc_ts}
-    ok = dsc_ts <= max(dsc_t, dsc_s)
-    return _verdict("lemma35", instance, seed, "pass" if ok else "fail",
-                    witness, quantitative=True)
+    commute, ts = _products(s, t)
+    if not commute:
+        return "inconclusive", {"commute": False}, "operators do not commute"
+    w = _chains({}, ("dsc",), T=t, S=s, TS=ts)
+    return _pass_or_fail(w["dsc_TS"] <= max(w["dsc_T"], w["dsc_S"])), w, ""
 
 
-def _verify_lemma36(mats, instance, seed) -> TheoremVerdict:
+def _verify_lemma36(mats, instance):
     s, t = mats["S"], mats["T"]
     hyp = check_hypotheses(s, t)
-    witness: dict = {"hypotheses": hyp.to_obj()}
+    w: dict = {"hypotheses": hyp.to_obj()}
     if not (hyp.commute and hyp.h1 and hyp.h2):
-        return _verdict("lemma36", instance, seed, "inconclusive", witness,
-                        note="splitting or inclusion hypothesis not met")
-    dsc_t = chain_report(t).dsc
-    dsc_s = chain_report(s).dsc
-    dsc_ts = hyp.h2_n0  # H2's n0 is dsc(TS)
-    witness.update({"dsc_T": dsc_t, "dsc_S": dsc_s, "dsc_TS": dsc_ts})
-    ok = min(dsc_t, dsc_s) <= dsc_ts
-    return _verdict("lemma36", instance, seed, "pass" if ok else "fail",
-                    witness, quantitative=True)
+        return "inconclusive", w, "splitting or inclusion hypothesis not met"
+    _chains(w, ("dsc",), T=t, S=s)
+    w["dsc_TS"] = hyp.h2_n0  # H2's n0 is dsc(TS)
+    return _pass_or_fail(min(w["dsc_T"], w["dsc_S"]) <= w["dsc_TS"]), w, ""
 
 
-def _verify_thC(mats, instance, seed) -> TheoremVerdict:
+def _verify_thC(mats, instance):
     s, t = mats["S"], mats["T"]
     hyp = check_hypotheses(s, t)
-    witness: dict = {"hypotheses": hyp.to_obj()}
+    w: dict = {"hypotheses": hyp.to_obj()}
     if not (hyp.commute and hyp.h1 and hyp.h2):
-        return _verdict("thC", instance, seed, "inconclusive", witness,
-                        note="splitting or inclusion hypothesis not met")
-    n0 = dsc_ts = hyp.h2_n0  # H2's n0 is dsc(TS)
-    dsc_t = chain_report(t).dsc
-    dsc_s = chain_report(s).dsc
-    codim_t = t.rows - power_rank(t, n0)
-    codim_s = s.rows - power_rank(s, n0)
-    witness.update(
-        {
-            "n0": n0,
-            "dsc_T": dsc_t,
-            "dsc_S": dsc_s,
-            "dsc_TS": dsc_ts,
-            "codim_R_T_n0": codim_t,
-            "codim_R_S_n0": codim_s,
-        }
-    )
-    ok = dsc_t <= n0 and dsc_s <= n0  # dsc(TS) <= n0 holds by the choice of n0
-    return _verdict("thC", instance, seed, "pass" if ok else "fail", witness)
+        return "inconclusive", w, "splitting or inclusion hypothesis not met"
+    n0 = hyp.h2_n0  # H2's n0 is dsc(TS)
+    _chains(w, ("dsc",), T=t, S=s)
+    w.update(n0=n0, dsc_TS=n0, codim_R_T_n0=t.rows - power_rank(t, n0),
+             codim_R_S_n0=s.rows - power_rank(s, n0))
+    # dsc(TS) <= n0 holds by the choice of n0
+    return _pass_or_fail(w["dsc_T"] <= n0 and w["dsc_S"] <= n0), w, ""
 
 
-def _verify_eq_mul(mats, instance, seed) -> TheoremVerdict:
+def _verify_eq_mul(mats, instance):
     a, b = mats["A"], mats["B"]
-    commute = a @ b == b @ a
+    ab = a @ b
+    commute = ab == b @ a
     invertible = rank(a) == a.rows
-    witness: dict = {"commute": commute, "a_invertible": invertible}
+    w: dict = {"commute": commute, "a_invertible": invertible}
     if not (commute and invertible):
-        return _verdict("eq_mul", instance, seed, "inconclusive", witness,
-                        note="needs a commuting pair with invertible first factor")
-    rep_b = chain_report(b)
-    rep_ab = chain_report(a @ b)
-    witness.update(
-        {
-            "asc_b": rep_b.asc,
-            "asc_ab": rep_ab.asc,
-            "dsc_b": rep_b.dsc,
-            "dsc_ab": rep_ab.dsc,
-        }
-    )
-    ok = rep_ab.asc == rep_b.asc and rep_ab.dsc == rep_b.dsc
-    return _verdict("eq_mul", instance, seed, "pass" if ok else "fail",
-                    witness, quantitative=True)
+        return "inconclusive", w, "needs a commuting pair with invertible first factor"
+    _chains(w, ("asc", "dsc"), b=b, ab=ab)
+    return _pass_or_fail(w["asc_ab"] == w["asc_b"] and w["dsc_ab"] == w["dsc_b"]), w, ""
 
 
-def _verify_lemma41(mats, instance, seed) -> TheoremVerdict:
+def _verify_lemma41(mats, instance):
     t1, t2 = mats["T1"], mats["T2"]
-    combined = chain_report(direct_sum(t1, t2))
-    rep1 = chain_report(t1)
-    rep2 = chain_report(t2)
-    witness = {
-        "asc_T1": rep1.asc,
-        "asc_T2": rep2.asc,
-        "asc_sum": combined.asc,
-        "dsc_T1": rep1.dsc,
-        "dsc_T2": rep2.dsc,
-        "dsc_sum": combined.dsc,
-    }
-    ok = combined.asc == max(rep1.asc, rep2.asc) and combined.dsc == max(
-        rep1.dsc, rep2.dsc
-    )
-    return _verdict("lemma41", instance, seed, "pass" if ok else "fail",
-                    witness, quantitative=True)
+    w = _chains({}, ("asc", "dsc"), T1=t1, T2=t2, sum=direct_sum(t1, t2))
+    ok = all(w[f"{q}_sum"] == max(w[f"{q}_T1"], w[f"{q}_T2"]) for q in ("asc", "dsc"))
+    return _pass_or_fail(ok), w, ""
 
 
-def _verify_lemma_ca(mats, instance, seed) -> TheoremVerdict:
+def _verify_lemma_ca(mats, instance):
     t, p = mats["T"], mats["P"]
     if p @ p != p:
-        return _verdict("lemma_ca", instance, seed, "inconclusive",
-                        {"idempotent": False}, note="P is not a projection")
+        return "inconclusive", {"idempotent": False}, "P is not a projection"
     if t @ p != p @ t:
-        return _verdict("lemma_ca", instance, seed, "inconclusive",
-                        {"commute": False}, note="P does not commute with T")
+        return "inconclusive", {"commute": False}, "P does not commute with T"
     block, _ = ptp_block_form(t, p)  # verifies the block identity exactly
-    t_p = compression(t, p)
-    rep_t = chain_report(t)
-    rep_tp = chain_report(t_p)
-    rep_ptp = chain_report(p @ t @ p)
-    null_dim = t.rows - rank(p)
-    zero_asc = 1 if null_dim else 0
-    witness = {
-        "asc_T": rep_t.asc,
-        "asc_TP": rep_tp.asc,
-        "asc_PTP": rep_ptp.asc,
-        "dsc_T": rep_t.dsc,
-        "dsc_TP": rep_tp.dsc,
-        "dsc_PTP": rep_ptp.dsc,
-        "block_rows": block.rows,
-    }
-    ok = rep_ptp.asc == max(rep_tp.asc, zero_asc) and rep_ptp.dsc == max(
-        rep_tp.dsc, zero_asc
-    )
-    return _verdict("lemma_ca", instance, seed, "pass" if ok else "fail",
-                    witness, quantitative=True)
+    w = _chains({}, ("asc", "dsc"), T=t, TP=compression(t, p), PTP=p @ t @ p)
+    w["block_rows"] = block.rows
+    zero_asc = 1 if t.rows - rank(p) else 0  # asc = dsc of the zero block on N(P)
+    ok = all(w[f"{q}_PTP"] == max(w[f"{q}_TP"], zero_asc) for q in ("asc", "dsc"))
+    return _pass_or_fail(ok), w, ""
 
 
 def _nonzero_candidates(*mats: Matrix) -> list[GaussianRational]:
@@ -662,35 +610,34 @@ _FINITE_DIM_NOTE = (
 )
 
 
-def _verify_monn(mats, instance, seed) -> TheoremVerdict:
+def _verify_monn(mats, instance):
     s, t = mats["S"], mats["T"]
     hyp = check_hypotheses(s, t)
     witness: dict = {"hypotheses": hyp.to_obj()}
     if not hyp.commute:
-        return _verdict("monn", instance, seed, "inconclusive", witness,
-                        note="operators do not commute")
+        return "inconclusive", witness, "operators do not commute"
     witness["profiles"] = [
-        {
-            "lambda": format_scalar(lam),
-            "asc_S": chain_report(s.shifted(lam)).asc,
-            "asc_T": chain_report(t.shifted(lam)).asc,
-            "asc_sum": chain_report((s + t).shifted(lam)).asc,
-        }
+        _chains(
+            {"lambda": format_scalar(lam)},
+            ("asc",),
+            S=s.shifted(lam),
+            T=t.shifted(lam),
+            sum=(s + t).shifted(lam),
+        )
         for lam in _nonzero_candidates(s, t, s + t)
         if lam != GQ(0)
     ]
     # a violation needs asc(S+T-lam) infinite, which no matrix has
     witness["violations"] = []
-    return _verdict("monn", instance, seed, "pass", witness, note=_FINITE_DIM_NOTE)
+    return "pass", witness, _FINITE_DIM_NOTE
 
 
-def _verify_th1(mats, instance, seed) -> TheoremVerdict:
+def _verify_th1(mats, instance):
     s, t = mats["S"], mats["T"]
     hyp = check_hypotheses(s, t)
     witness: dict = {"hypotheses": hyp.to_obj()}
     if not (hyp.commute and hyp.h1):
-        return _verdict("th1", instance, seed, "inconclusive", witness,
-                        note="kernel-splitting hypothesis not met")
+        return "inconclusive", witness, "kernel-splitting hypothesis not met"
     rows = []
     for lam in _nonzero_candidates(s, t, s + t):
         # no ascent is infinite, so both sides reduce to membership in R
@@ -698,16 +645,15 @@ def _verify_th1(mats, instance, seed) -> TheoremVerdict:
         rows.append({"lambda": format_scalar(lam), "lhs": r_mem, "rhs": r_mem, "in_R": r_mem})
     witness["candidates"] = rows
     witness["mismatches"] = []
-    return _verdict("th1", instance, seed, "pass", witness, note=_FINITE_DIM_NOTE)
+    return "pass", witness, _FINITE_DIM_NOTE
 
 
-def _verify_nov(mats, instance, seed) -> TheoremVerdict:
+def _verify_nov(mats, instance):
     s, t = mats["S"], mats["T"]
     hyp = check_hypotheses(s, t)
     witness: dict = {"hypotheses": hyp.to_obj()}
     if not hyp.commute:
-        return _verdict("nov", instance, seed, "inconclusive", witness,
-                        note="operators do not commute")
+        return "inconclusive", witness, "operators do not commute"
     rows = []
     for lam in _nonzero_candidates(s, t, s + t):
         # no descent is infinite and no codimension is, so M is empty and
@@ -717,10 +663,10 @@ def _verify_nov(mats, instance, seed) -> TheoremVerdict:
                      "in_M": False, "in_N": n_mem})
     witness["candidates"] = rows
     witness["mismatches"] = []
-    return _verdict("nov", instance, seed, "pass", witness, note=_FINITE_DIM_NOTE)
+    return "pass", witness, _FINITE_DIM_NOTE
 
 
-def _verify_app_blocks(mats, instance, seed) -> TheoremVerdict:
+def _verify_app_blocks(mats, instance):
     t, s, c = mats["T"], mats["S"], mats["C"]
     ks = instance.get("params", {}).get("ks", [2, 3, 10])
     d1, d2 = t.rows, s.rows
@@ -732,8 +678,7 @@ def _verify_app_blocks(mats, instance, seed) -> TheoremVerdict:
     eig_mc, residual = eigenvalues_exact(m_c)
     witness: dict = {"ks": list(ks), "eigenvalues": [format_scalar(v) for v in eig_mc]}
     if residual:
-        return _verdict("app_blocks", instance, seed, "inconclusive", witness,
-                        note="characteristic polynomial does not split over Q(i)")
+        return "inconclusive", witness, "characteristic polynomial does not split over Q(i)"
     problems = []
     for k in ks:
         k_gq = GQ(k)
@@ -764,9 +709,7 @@ def _verify_app_blocks(mats, instance, seed) -> TheoremVerdict:
         if point_profile(m_plain, lam) != expected:
             problems.append({"lambda": format_scalar(lam), "issue": "block profile"})
     witness["violations"] = problems
-    return _verdict(
-        "app_blocks", instance, seed, "fail" if problems else "pass", witness
-    )
+    return _pass_or_fail(not problems), witness, ""
 
 
 def _block_operator(t: Matrix, s: Matrix, c: Matrix) -> Matrix:
@@ -831,19 +774,12 @@ def verify_tower(
 
     Divergence in the window profile (``tower.window_profile``) of S, T
     and S + T stands in for spectrum membership.  Hypotheses checked on
-    finite sections are window-empirical: when they hold only empirically
-    a failing conclusion downgrades to inconclusive rather than fail.
+    finite sections are window-empirical: a failing conclusion is a fail
+    only when the spec of S or of T certifies a finite-rank power (so TS
+    is in F̃ for certain), and inconclusive otherwise.
     """
     if theorem not in ("monn", "th1", "nov"):
         raise ValueError("tower mode covers the spectra-level statements only")
-    s_secs = window_sections(s_spec, cfg)
-    t_secs = window_sections(t_spec, cfg)
-    sum_secs = {n: s_secs[n] + t_secs[n] for n in cfg.window()}
-    prod_secs = {n: t_secs[n] @ s_secs[n] for n in cfg.window()}
-    commute = all(
-        s_secs[n] @ t_secs[n] == t_secs[n] @ s_secs[n] for n in cfg.window()
-    )
-    f_tilde = probed_power_rank(prod_secs, cfg)
     instance = {
         "theorem": theorem,
         "mode": "tower",
@@ -852,13 +788,28 @@ def verify_tower(
         "window": list(cfg.window()),
         "candidates": [format_scalar(as_gq(lam)) for lam in candidates],
     }
-    witness: dict = {
-        "commute_on_window": commute,
-        "f_tilde": f_tilde.to_obj(),
-    }
+    verdict, witness, note = _tower_findings(theorem, s_spec, t_spec, candidates, cfg, p_bound)
+    return TheoremVerdict(theorem, verdict, witness, instance, note=note)
+
+
+def _tower_findings(theorem, s_spec, t_spec, candidates, cfg, p_bound):
+    """Verdict, witness and note of verify_tower."""
+    s_secs = window_sections(s_spec, cfg)
+    t_secs = window_sections(t_spec, cfg)
+    sum_secs = {n: s_secs[n] + t_secs[n] for n in cfg.window()}
+    prod_secs = {n: t_secs[n] @ s_secs[n] for n in cfg.window()}
+    commute = all(s_secs[n] @ t_secs[n] == prod_secs[n] for n in cfg.window())
+    # for commuting S and T, (TS)^k = T^k S^k has rank at most that of S^k
+    # and of T^k, so a factor whose spec certifies a finite-rank power
+    # certifies TS at the same exponent; only a bound on the rank is known
+    certified = commute and (_certain_power_rank(s_spec) or _certain_power_rank(t_spec))
+    if certified:
+        f_tilde = PowerRankVerdict("certain-true", n0=certified.n0)
+    else:
+        f_tilde = probed_power_rank(prod_secs, cfg)
+    witness: dict = {"commute_on_window": commute, "f_tilde": f_tilde.to_obj()}
     if not commute:
-        return _verdict(theorem, instance, None, "inconclusive", witness,
-                        note="sections do not commute on the window")
+        return "inconclusive", witness, "sections do not commute on the window"
 
     quantity = "asc" if theorem in ("monn", "th1") else "dsc"
     rows = []
@@ -894,18 +845,11 @@ def verify_tower(
     witness["mismatches"] = mismatches
     if mismatches:
         if f_tilde.kind == "certain-true":
-            verdict = "fail"
-            note = "candidate-set statement violated"
-        else:
-            verdict = "inconclusive"
-            note = "violation under empirical hypotheses only"
-    elif saw_inconclusive:
-        verdict = "inconclusive"
-        note = "window classification inconclusive at some candidate"
-    else:
-        verdict = "pass"
-        note = "window-empirical hypotheses" if f_tilde.kind != "certain-true" else ""
-    return _verdict(theorem, instance, None, verdict, witness, note=note)
+            return "fail", witness, "candidate-set statement violated"
+        return "inconclusive", witness, "violation under empirical hypotheses only"
+    if saw_inconclusive:
+        return "inconclusive", witness, "window classification inconclusive at some candidate"
+    return "pass", witness, "window-empirical hypotheses" if not certified else ""
 
 
 def _in_M_or_N_window(s_secs, t_secs, prod_secs, sum_dsc, lam, cfg, p_bound) -> bool:

@@ -1,6 +1,9 @@
 import hashlib
+from dataclasses import replace
 
 import pytest
+
+from ascdesc import theorems
 
 from ascdesc.exact import Matrix, block_diag, matrix_from_obj, matrix_to_obj
 from ascdesc.gq import GQ, parse_scalar
@@ -28,6 +31,8 @@ from ascdesc.tower import (
     TowerConfig,
     backward_shift,
     forward_shift,
+    identity_tail,
+    window_sections,
 )
 
 J2 = Matrix.from_rows([[0, 1], [0, 0]])
@@ -327,6 +332,74 @@ def test_tower_nov_equality():
     assert verdict.verdict == "pass", verdict.witness
 
 
+def test_tower_nov_sum_descent_puts_a_point_in_N():
+    # at 1 the sum B + I - 1 = B has divergent dsc while S - 1 = B - 1 and
+    # T - 1 = 0 have dsc 0 and 1: only the sum's descent puts 1 in M or N
+    verdict = verify_tower(
+        "nov", backward_shift(), identity_tail(), [GQ(0), GQ(1), GQ(2)], CFG, p_bound=2
+    )
+    row = {r["lambda"]: r for r in verdict.witness["candidates"]}["1"]
+    assert (row["sum"], row["S"], row["T"]) == ("divergent", 0, 1)
+    assert row["in_M_or_N"] and row["ok"]
+    assert verdict.verdict == "pass", verdict.witness
+
+
+def _plant_divergence(monkeypatch, planted_sections, point):
+    """Make every quantity of the given sections read divergent at point."""
+    profile = theorems.window_profile
+
+    def planted(sections, lam):
+        out = profile(sections, lam)
+        if lam == point and sections == planted_sections:
+            out = {q: replace(v, kind="divergent", value=None) for q, v in out.items()}
+        return out
+
+    monkeypatch.setattr(theorems, "window_profile", planted)
+
+
+@pytest.mark.parametrize("theorem", ["monn", "th1", "nov"])
+@pytest.mark.parametrize("pair, expected", [("block", "fail"), ("B,2B", "inconclusive")])
+def test_tower_planted_mismatch_fails_only_when_f_tilde_is_certain(
+    monkeypatch, theorem, pair, expected
+):
+    # monn needs 2 in sigma(S + T) outside sigma(S) and sigma(T); th1 and nov
+    # need 2 in sigma(S) while 2 is in sigma(S + T) and in neither exception set
+    s_spec, t_spec = TOWER_PAIRS[pair]()
+    s_secs = window_sections(s_spec, CFG)
+    t_secs = window_sections(t_spec, CFG)
+    if theorem == "monn":
+        planted = {n: s_secs[n] + t_secs[n] for n in CFG.window()}
+    else:
+        planted = s_secs
+    _plant_divergence(monkeypatch, planted, GQ(2))
+    verdict = verify_tower(theorem, s_spec, t_spec, [GQ(0), GQ(2)], CFG, p_bound=2)
+    assert [row["lambda"] for row in verdict.witness["mismatches"]] == ["2"]
+    assert verdict.verdict == expected, verdict.witness
+    # the block fixture's S is a dense block plus a zero tail, so S and
+    # hence TS have finite rank; for B and 2B only the rank probe speaks
+    certain = verdict.witness["f_tilde"]["verdict"] == "certain-true"
+    assert certain == (pair == "block")
+
+
+@pytest.mark.parametrize("theorem", ["monn", "th1", "nov"])
+def test_verify_tower_forms_each_section_product_once(monkeypatch, theorem):
+    s_spec, t_spec = _block_fixture()
+    s_secs = window_sections(s_spec, CFG)
+    t_secs = window_sections(t_spec, CFG)
+    operands = []
+    matmul = Matrix.__matmul__
+
+    def counting(a, b):
+        operands.append((a, b))
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    verify_tower(theorem, s_spec, t_spec, [GQ(0), GQ(2)], CFG, p_bound=2)
+    for n in CFG.window():
+        assert operands.count((t_secs[n], s_secs[n])) <= 1, n
+        assert operands.count((s_secs[n], t_secs[n])) <= 1, n
+
+
 # sha256 of dumps(verify_tower(...)) at four points on CFG, so that a change
 # in how tower points are classified shows in the whole report
 TOWER_PAIRS = {
@@ -335,20 +408,20 @@ TOWER_PAIRS = {
     "S,S": lambda: (forward_shift(), forward_shift()),
 }
 TOWER_SHA256 = {
-    ("monn", "block", 2): "a8055e49f884b3969a02b998da725066e2fdcc3a65bc75deeb3658c691540014",
-    ("monn", "block", 3): "a8055e49f884b3969a02b998da725066e2fdcc3a65bc75deeb3658c691540014",
+    ("monn", "block", 2): "ab6ffdd5c483460d4cadfea51952fce9591e60a4a1f04b4b9490be5dc5dcb2b0",
+    ("monn", "block", 3): "ab6ffdd5c483460d4cadfea51952fce9591e60a4a1f04b4b9490be5dc5dcb2b0",
     ("monn", "B,2B", 2): "0956ff5c26b7939c0953bf0891851abe327a51f8055daaf38927bf24fd7818ab",
     ("monn", "B,2B", 3): "0956ff5c26b7939c0953bf0891851abe327a51f8055daaf38927bf24fd7818ab",
     ("monn", "S,S", 2): "fdf53175ff9e9b5cc912228bc9860136a27f82d91d9918697aabd069abc05257",
     ("monn", "S,S", 3): "fdf53175ff9e9b5cc912228bc9860136a27f82d91d9918697aabd069abc05257",
-    ("th1", "block", 2): "f6c96a0ed63982648157da2e5200c0ef66e747e3d5368538a8581608a7821a21",
-    ("th1", "block", 3): "f6c96a0ed63982648157da2e5200c0ef66e747e3d5368538a8581608a7821a21",
+    ("th1", "block", 2): "4d2e6b7bcddb0d2ed5cc0fb778bc010018d1beccf0509d2b77a8b06015377961",
+    ("th1", "block", 3): "4d2e6b7bcddb0d2ed5cc0fb778bc010018d1beccf0509d2b77a8b06015377961",
     ("th1", "B,2B", 2): "58f1c97674674c6be5581dfa3d8d86f2a7e20c32fd46dc9c0cb008deb963022a",
     ("th1", "B,2B", 3): "58f1c97674674c6be5581dfa3d8d86f2a7e20c32fd46dc9c0cb008deb963022a",
     ("th1", "S,S", 2): "a302f06af23e2d84eec22122922ceb9c48a27d108c6ea155cd2aab522cd95728",
     ("th1", "S,S", 3): "a302f06af23e2d84eec22122922ceb9c48a27d108c6ea155cd2aab522cd95728",
-    ("nov", "block", 2): "d6fbc50878bd73cbb51dfce30edef17894f1c10f5b677d5550acbaad6e972faf",
-    ("nov", "block", 3): "d6fbc50878bd73cbb51dfce30edef17894f1c10f5b677d5550acbaad6e972faf",
+    ("nov", "block", 2): "5db76a787b79de67a706c3488d728cdf2f88a7b68aa1004e39c252ab65027fcf",
+    ("nov", "block", 3): "5db76a787b79de67a706c3488d728cdf2f88a7b68aa1004e39c252ab65027fcf",
     ("nov", "B,2B", 2): "1d9ae5cc9aac24b6cfaee38cc281b88949f493ac7bceeee5b2d6ea394f75104b",
     ("nov", "B,2B", 3): "1d9ae5cc9aac24b6cfaee38cc281b88949f493ac7bceeee5b2d6ea394f75104b",
     ("nov", "S,S", 2): "fd4a67045063ca3bb113b363d27ffac0959ffb25dd54037e6712eac53ebee0f2",
