@@ -125,7 +125,7 @@ def array_to_obj(a: np.ndarray) -> dict:
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),
         "field": "f64",
-        "entries": [[float(v) for v in row] for row in a.real],
+        "entries": a.real.astype(float, copy=False).tolist(),
     }
 
 

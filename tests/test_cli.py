@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ascdesc.cli import main
+from ascdesc.convergence import PROBE_IDS
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -559,11 +560,36 @@ def _tower(o):
     return ["spectrum", "{0}", "--tower", "--candidates", "0,1", "--window", "2,1,2"], [spec]
 
 
+def _probe(o):
+    _, files = _converge(o)
+    return ["converge", "{0}", "--probe", o["probe"], "--lambda", "0"], files
+
+
+def _gap_extreme(o):
+    return ["gap", "{0}", "{1}"], [
+        {"rows": len(grid), "cols": len(grid[0]), "field": "f64", "entries": grid}
+        for grid in (o["y"], o["z"])
+    ]
+
+
+# Finite f64 entries at the ends of the range: the largest magnitudes, the
+# smallest subnormal and a signed zero.
+EXTREME = st.sampled_from([1e308, -1e308, sys.float_info.max, 5e-324, -5e-324, -0.0, 0.0, 1.0])
+
+
+def _extreme_pair(cols):
+    grid = st.lists(st.lists(EXTREME, min_size=cols, max_size=cols), min_size=1, max_size=3)
+    return st.fixed_dictionaries({"y": grid, "z": grid})
+
+
 HOSTILE_CASES = {
-    "analyze": (_analyze, ("rows", "cols", "entries")),
-    "gap": (_gap, ("rows", "cols", "entries")),
-    "converge": (_converge, ("seed", "exponent", "n_range")),
-    "tower": (_tower, ("pre", "period", "diagonals")),
+    "analyze": (_analyze, _overrides(("rows", "cols", "entries"))),
+    "gap": (_gap, _overrides(("rows", "cols", "entries"))),
+    "gap-extreme": (_gap_extreme, st.integers(1, 3).flatmap(_extreme_pair)),
+    "converge": (_converge, _overrides(("seed", "exponent", "n_range"))),
+    "probe": (_probe, st.builds(lambda o, probe: dict(o, probe=probe),
+                                _overrides(("seed", "exponent", "n_range")), st.sampled_from(PROBE_IDS))),
+    "tower": (_tower, _overrides(("pre", "period", "diagonals"))),
 }
 
 
@@ -571,8 +597,8 @@ HOSTILE_CASES = {
 @given(data=st.data())
 @settings(max_examples=50, deadline=None)
 def test_hostile_input_exits_0_or_2_with_one_error_line(verb, data):
-    build, keys = HOSTILE_CASES[verb]
-    argv, files = build(data.draw(_overrides(keys), label="overrides"))
+    build, overrides = HOSTILE_CASES[verb]
+    argv, files = build(data.draw(overrides, label="overrides"))
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
@@ -587,3 +613,5 @@ def test_hostile_input_exits_0_or_2_with_one_error_line(verb, data):
     if code == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()
+    elif "csv" not in argv:
+        json.loads(out.getvalue())
