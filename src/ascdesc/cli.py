@@ -25,7 +25,6 @@ from .numeric import (
     Tolerance,
     array_from_obj,
     delta,
-    gap as gap_fn,
     orthonormalize_rows,
     subspace_to_float,
 )
@@ -222,13 +221,13 @@ def _cmd_verify(args, argv) -> int:
 
 
 def _cmd_converge(args, argv) -> int:
+    if args.format == "csv" and args.probe:
+        raise ValueError("csv output covers the trajectory only; drop --probe")
     spec = sequence_from_obj(_load_json(args.sequence))
     tol = _tolerance(args)
     cfg = _parse_window(args.window)
     traj = trajectory(spec, tol)
     if args.format == "csv":
-        if args.probe:
-            raise ValueError("csv output covers the trajectory only; drop --probe")
         _emit(args, traj.to_csv())
         return EXIT_OK
     report: dict = {"trajectory": traj.to_obj()}
@@ -264,13 +263,14 @@ def _cmd_gap(args, argv) -> int:
     tol = _tolerance(args)
     y = _subspace_from_file(args.y, tol)
     z = _subspace_from_file(args.z, tol)
+    d_yz, d_zy = delta(y, z), delta(z, y)
     report = {
         "dim_Y": y.dim,
         "dim_Z": z.dim,
         "ambient_dim": y.ambient_dim,
-        "delta_YZ": delta(y, z),
-        "delta_ZY": delta(z, y),
-        "gap": gap_fn(y, z),
+        "delta_YZ": d_yz,
+        "delta_ZY": d_zy,
+        "gap": max(d_yz, d_zy),
     }
     _emit(args, dumps(envelope(_echo(argv), report)))
     return EXIT_OK
@@ -285,11 +285,14 @@ _COMMANDS = {
 }
 
 
+# parse_args keeps no state in the parser, so one parser serves every call
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; keep its code
         return int(exc.code or 0)

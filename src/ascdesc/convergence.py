@@ -6,8 +6,9 @@ gaps between kernels and ranges of T_n and T together with the reduced
 minimum modulus, then classifies upper/lower convergence empirically: a
 tail of one-sided gaps below the convergence tolerance stands in for
 the adherent-point definition (licensed by the fact that one-sided gap
-decay follows from either convergence mode).  Rank, kernel, range and
-reduced minimum modulus of each sample come from one SVD.
+decay follows from either convergence mode).  Rank, kernel, range,
+reduced minimum modulus and the complements that the four gaps are read
+from all come from one SVD per sample.
 
 Probes evaluate the sequence statements about ascent/descent spectra.
 On dense instances they check the stated hypotheses and the

@@ -41,20 +41,35 @@ DEFAULT_TOL = Tolerance()
 
 
 class FloatSubspace:
-    """Subspace given by a column-orthonormal basis matrix."""
+    """Subspace given by a column-orthonormal basis matrix.
 
-    __slots__ = ("ambient_dim", "ortho_basis")
+    An optional `complement` is an orthonormal basis of the orthogonal
+    complement, so that [basis complement] is unitary; `delta` then reads
+    gaps into this subspace from it without a further factorization.
+    """
 
-    def __init__(self, ambient_dim: int, ortho_basis: np.ndarray):
+    __slots__ = ("ambient_dim", "ortho_basis", "complement")
+
+    def __init__(
+        self, ambient_dim: int, ortho_basis: np.ndarray, complement: np.ndarray | None = None
+    ):
         q = np.asarray(ortho_basis)
         if q.ndim != 2 or q.shape[0] != ambient_dim:
             raise ValueError("basis must be an ambient_dim x k array")
-        if q.shape[1]:
-            gram = q.conj().T @ q
-            if np.linalg.norm(gram - np.eye(q.shape[1])) > _ORTHO_TOL * max(1, q.shape[1]):
+        columns = q
+        if complement is not None:
+            complement = np.asarray(complement)
+            if complement.shape != (ambient_dim, ambient_dim - q.shape[1]):
+                raise ValueError("complement must be an ambient_dim x (ambient_dim - k) array")
+            columns = np.hstack((q, complement))
+        k = columns.shape[1]
+        if k:
+            gram = columns.conj().T @ columns
+            if np.linalg.norm(gram - np.eye(k)) > _ORTHO_TOL * max(1, k):
                 raise ValueError("basis columns are not orthonormal")
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "ortho_basis", q)
+        object.__setattr__(self, "complement", complement)
 
     def __setattr__(self, name, value):
         raise AttributeError("FloatSubspace is immutable")
@@ -161,15 +176,18 @@ def svd_views(
 ) -> tuple[int, FloatSubspace, FloatSubspace, float]:
     """Rank, kernel, image and reduced minimum modulus from one SVD.
 
-    The kernel and image come back as orthonormal bases; gamma is the
-    smallest singular value above the rank cut (infinity for rank 0).
+    The kernel and image come back as orthonormal bases, each with its
+    orthogonal complement from the same full U and V (the row space for
+    the kernel, the cokernel for the image); gamma is the smallest
+    singular value above the rank cut (infinity for rank 0).
     """
     a = np.asarray(a)
     u, s, vh = np.linalg.svd(a)
     r = _rank_from_singulars(s, tol)
     modulus = float(s[r - 1]) if r else math.inf
-    kernel = FloatSubspace(a.shape[1], vh[r:].conj().T)
-    return r, kernel, FloatSubspace(a.shape[0], u[:, :r]), modulus
+    v = vh.conj().T
+    kernel = FloatSubspace(a.shape[1], v[:, r:], v[:, :r])
+    return r, kernel, FloatSubspace(a.shape[0], u[:, :r], u[:, r:]), modulus
 
 
 def float_kernel(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> FloatSubspace:
@@ -203,21 +221,28 @@ def gamma(a: np.ndarray | Matrix, tol: Tolerance = DEFAULT_TOL) -> float:
 def delta(y: FloatSubspace, z: FloatSubspace) -> float:
     """One-sided gap sup_{x in Y, |x|<=1} dist(x, Z), in [0, 1].
 
-    Computed as the largest singular value of (I - P_Z) Q_Y.  The
-    supremum over the closed unit ball of the zero subspace is 0.
+    The supremum over the closed unit ball of the zero subspace is 0.  If
+    dim Y > dim Z, Y meets the orthogonal complement of Z and the gap is
+    exactly 1 (Kato, Perturbation Theory for Linear Operators, IV 2.1).
+    Otherwise it is the largest singular value of Z_perp^H Q_Y when Z
+    carries its complement (0 when Z is the whole space), and of the
+    residual (I - P_Z) Q_Y when it does not.
     """
     if y.ambient_dim != z.ambient_dim:
         raise ValueError(f"ambient mismatch: {y.ambient_dim} vs {z.ambient_dim}")
     if y.dim == 0:
         return 0.0
+    if y.dim > z.dim:
+        return 1.0
     qy = y.ortho_basis
-    if z.dim == 0:
-        resid = qy
+    if z.complement is not None:
+        if z.complement.shape[1] == 0:
+            return 0.0
+        m = z.complement.conj().T @ qy
     else:
         qz = z.ortho_basis
-        resid = qy - qz @ (qz.conj().T @ qy)
-    s = np.linalg.svd(resid, compute_uv=False)
-    return float(s[0]) if s.size else 0.0
+        m = qy - qz @ (qz.conj().T @ qy)
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def gap(y: FloatSubspace, z: FloatSubspace) -> float:

@@ -190,10 +190,29 @@ def test_converge_probe_counterexample_exit_code(tmp_path):
     assert all(abs(v - 1.0) < 1e-9 for v in tail)
 
 
-def test_converge_csv_rejects_probe(tmp_path):
+def test_converge_csv_rejects_probe(tmp_path, monkeypatch):
+    # rejected before the sequence is loaded or its trajectory computed
+    import ascdesc.cli as cli
+
+    def no_trajectory(*args, **kwargs):
+        raise AssertionError("trajectory computed for a rejected flag combination")
+
+    monkeypatch.setattr(cli, "trajectory", no_trajectory)
     path = write(tmp_path, "seq.json", RESOLVENT_SEQ)
-    result = run_cli("converge", path, "--probe", "T1", "--format", "csv")
-    assert result.returncode == 2
+    code, out, err = run_main(["converge", path, "--probe", "T1", "--format", "csv"])
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: csv output covers the trajectory only; drop --probe"]
+
+
+def test_consecutive_calls_share_no_parser_state(tmp_path):
+    path = write(tmp_path, "seq.json", RESOLVENT_SEQ)
+    out_file = tmp_path / "probe.json"
+    code, out, _ = run_main(["converge", path, "--probe", "T1", "--out", str(out_file)])
+    assert code == 3 and out == ""
+    assert "probe" in json.loads(out_file.read_text(encoding="utf-8"))["report"]
+    code, out, _ = run_main(["converge", path])
+    assert code == 0
+    assert "probe" not in json.loads(out)["report"]
 
 
 TOWER_SEQ = {

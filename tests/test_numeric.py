@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ascdesc.exact import Matrix, Subspace, image_basis, subspace_sum
 from ascdesc.gq import GQ
@@ -17,6 +18,7 @@ from ascdesc.numeric import (
     matrix_to_array,
     orthonormalize_rows,
     subspace_to_float,
+    svd_views,
     to_float,
 )
 from ascdesc.theorems import random_matrix
@@ -172,6 +174,73 @@ def test_tolerance_validation():
 def test_float_subspace_rejects_skew_basis():
     with pytest.raises(ValueError):
         FloatSubspace(2, np.array([[1.0], [1.0]]))
+
+
+def _low_rank(gen, rows, cols, rank, is_complex):
+    def draw(shape):
+        a = gen.normal(size=shape)
+        return a + 1j * gen.normal(size=shape) if is_complex else a
+
+    return draw((rows, rank)) @ draw((rank, cols))
+
+
+def _bare(s):
+    """The same subspace without its complement: delta takes the residual route."""
+    return FloatSubspace(s.ambient_dim, s.ortho_basis)
+
+
+@given(
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.data(),
+    st.booleans(),
+    st.sampled_from([1.0, 1e-3, 1e-8, 0.0]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_delta_from_svd_complements_matches_residual_route(rows, cols, data, is_complex, scale, seed):
+    # T and a perturbation T + scale * E, both of any rank up to full
+    gen = np.random.default_rng(seed)
+    full = min(rows, cols)
+    t = _low_rank(gen, rows, cols, data.draw(st.integers(0, full)), is_complex)
+    e = _low_rank(gen, rows, cols, data.draw(st.integers(0, full)), is_complex)
+    _, k_t, r_t, _ = svd_views(t)
+    _, k_n, r_n, _ = svd_views(t + scale * e)
+    for y, z in [(k_n, k_t), (k_t, k_n), (r_n, r_t), (r_t, r_n), (k_t, k_t), (r_n, r_n)]:
+        assert z.complement is not None
+        assert abs(delta(y, z) - delta(y, _bare(z))) <= 1e-12
+
+
+def test_delta_is_exactly_one_when_y_has_the_larger_dimension():
+    gen = np.random.default_rng(5)
+    for ambient in (1, 2, 5, 9):
+        for dy in range(1, ambient + 1):
+            for dz in range(dy):
+                y = orthonormalize_rows(gen.normal(size=(dy, ambient)), ambient)
+                z_rows = gen.normal(size=(dz, ambient))
+                z = orthonormalize_rows(z_rows, ambient)
+                assert delta(y, z) == 1.0
+                # the same Z as an image carrying its complement
+                if dz:
+                    z_image = svd_views(z_rows.T)[2]
+                    assert z_image.dim == dz and delta(y, z_image) == 1.0
+
+
+def test_delta_into_the_whole_space_is_exactly_zero():
+    whole = svd_views(np.random.default_rng(2).normal(size=(4, 4)))[2]
+    assert whole.dim == 4 and whole.complement.shape == (4, 0)
+    assert delta(line(1, 2, 3, 4), whole) == 0.0
+
+
+def test_float_subspace_rejects_a_complement_that_is_not_orthogonal():
+    e1 = np.array([[1.0], [0.0]])
+    with pytest.raises(ValueError):
+        FloatSubspace(2, e1, e1)  # the basis itself
+    with pytest.raises(ValueError):
+        FloatSubspace(2, e1, np.array([[1.0], [1.0]]) / math.sqrt(2))
+    with pytest.raises(ValueError):
+        FloatSubspace(2, e1, np.eye(2))  # too many columns for a complement
+    assert FloatSubspace(2, e1, np.array([[0.0], [1.0]])).complement.shape == (2, 1)
 
 
 def test_ambient_mismatch():
