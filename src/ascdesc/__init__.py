@@ -14,7 +14,6 @@ from .exact import (
     Subspace,
     block_diag,
     char_poly,
-    codim,
     image_basis,
     is_direct_sum,
     kernel_basis,
@@ -38,20 +37,14 @@ from .numeric import (
     FloatSubspace,
     Tolerance,
     delta,
-    dist_to_subspace,
-    float_image,
-    float_kernel,
     gamma,
     gap,
-    to_float,
 )
 from .spectra import (
     SpectrumProfile,
     ascent_spectrum,
-    descent_spectrum,
     eigenvalues_exact,
     point_profile,
-    poly_spectral_map_check,
 )
 from .tower import (
     BandedSpec,
@@ -69,7 +62,8 @@ from .tower import (
     is_power_finite_rank,
     spec_from_obj,
     tower_spectrum,
-    tower_verdict,
+    window_profile,
+    window_sections,
 )
 from .theorems import (
     HypothesisReport,

@@ -146,8 +146,7 @@ def _subspace_from_file(path: str, tol: Tolerance) -> FloatSubspace:
         )
         return subspace_to_float(span)
     if field == "f64":
-        rows = array_from_obj(obj)
-        return orthonormalize_rows(rows, rows.shape[1], tol)
+        return orthonormalize_rows(array_from_obj(obj), tol)
     raise ValueError(f"unsupported field {field!r} for a subspace file")
 
 
@@ -226,7 +225,7 @@ def _cmd_converge(args, argv) -> int:
     spec = sequence_from_obj(_load_json(args.sequence))
     tol = _tolerance(args)
     cfg = _parse_window(args.window)
-    traj = trajectory(spec, tol)
+    traj = trajectory(spec, tol, cfg)
     if args.format == "csv":
         _emit(args, traj.to_csv())
         return EXIT_OK

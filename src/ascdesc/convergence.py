@@ -280,14 +280,16 @@ def _sample_matrices(spec: SequenceSpec) -> tuple[np.ndarray, list[tuple[int, np
     return base, [(n, base + float(n) ** (-exponent) * direction) for n in spec.samples()]
 
 
-def trajectory(spec: SequenceSpec, tol: Tolerance = DEFAULT_TOL) -> GapTrajectory:
+def trajectory(
+    spec: SequenceSpec, tol: Tolerance = DEFAULT_TOL, cfg: TowerConfig = DEFAULT_CONFIG
+) -> GapTrajectory:
     """Gap and reduced-minimum-modulus trajectory of the sequence.
 
-    Tower-based sequences are realized at the default window's largest
-    truncation; the exact window semantics live in the probes.
+    Tower-based sequences are realized at the largest truncation of the
+    window ``cfg``; the exact window semantics live in the probes.
     """
     if spec.is_tower:
-        limit_m, samples_m = _tower_sample_matrices(spec, GQ(0), DEFAULT_CONFIG)
+        limit_m, samples_m = _tower_sample_matrices(spec, cfg)
         limit = matrix_to_array(limit_m)
         realized = [(n, matrix_to_array(m)) for n, m in samples_m]
     else:
@@ -525,14 +527,14 @@ def _probe_dense(spec, proposition, lam, tol: Tolerance, traj):
     return "pass", witness, ""
 
 
-def _tower_sample_matrices(spec: SequenceSpec, lam: GaussianRational, cfg: TowerConfig):
-    """Exact realizations at the largest window truncation, shifted."""
+def _tower_sample_matrices(spec: SequenceSpec, cfg: TowerConfig):
+    """Exact realizations at the largest window truncation."""
     n_ref = cfg.window()[-1]
-    base = spec.base.realize(n_ref).shifted(lam)
+    base = spec.base.realize(n_ref)
     out = []
     for n in spec.samples():
         pert = _tower_perturbed(spec, n)
-        out.append((n, pert.realize(n_ref).shifted(lam)))
+        out.append((n, pert.realize(n_ref)))
     return base, out
 
 

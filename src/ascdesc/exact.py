@@ -14,8 +14,9 @@ subspaces come from one elimination (Zassenhaus's algorithm), and a sum
 is direct exactly when the dimensions add up.  Each square matrix caches
 one chain of the canonical row bases of row(A^k), which stops where the
 rank repeats; :func:`ascdesc.chains.chain_report`, :func:`power_kernel`,
-:func:`power_image` and :func:`power_rank` all read it.  Floating-point
-counterparts live in :mod:`ascdesc.numeric`.
+:func:`power_image` and :func:`power_rank` all read it, so no power A^k
+is formed as a matrix.  Floating-point counterparts live in
+:mod:`ascdesc.numeric`.
 """
 
 from __future__ import annotations
@@ -208,27 +209,11 @@ class Matrix:
                 columns[j][i] = v
         return Matrix.from_integer_rows(self.rows, self.den, columns)
 
-    def trace(self) -> GaussianRational:
-        if not self.is_square:
-            raise ValueError("trace requires a square matrix")
-        return sum((self.at(i, i) for i in range(self.rows)), _ZERO)
-
     def shifted(self, lam: Entryish) -> "Matrix":
         """A - lam*I for square A."""
         if not self.is_square:
             raise ValueError("shift requires a square matrix")
         return self - Matrix.identity(self.rows).scale(lam)
-
-    def power(self, k: int) -> "Matrix":
-        """A^k by repeated products."""
-        if not self.is_square:
-            raise ValueError("power requires a square matrix")
-        if k < 0:
-            raise ValueError("negative powers are not supported")
-        out = Matrix.identity(self.rows)
-        for _ in range(k):
-            out = out @ self
-        return out
 
     def _check_same_shape(self, other: "Matrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -570,10 +555,6 @@ def is_direct_sum(parts: Sequence[Subspace]) -> bool:
     if any(p.ambient_dim != parts[0].ambient_dim for p in parts):
         raise ValueError("ambient mismatch among direct-sum parts")
     return len(echelon(row for p in parts for row in p.rows)) == sum(p.dim for p in parts)
-
-
-def codim(y: Subspace) -> int:
-    return y.ambient_dim - y.dim
 
 
 def char_poly(a: Matrix) -> tuple[GaussianRational, ...]:

@@ -103,13 +103,6 @@ class GaussianRational:
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def abs2(self) -> Fraction:
-        """Squared modulus, an exact nonnegative rational."""
-        return self.re * self.re + self.im * self.im
-
     def sort_key(self) -> tuple[Fraction, Fraction]:
         """Lexicographic (re, im) key for deterministic ordering."""
         return (self.re, self.im)

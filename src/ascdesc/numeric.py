@@ -1,7 +1,7 @@
 """Floating-point backend for norm-dependent quantities.
 
-Everything norm-related (gap between subspaces, reduced minimum
-modulus, distances) is computed here with SVD-based numerical rank.
+Everything norm-related (one-sided and two-sided gaps between subspaces,
+reduced minimum modulus) is computed here with SVD-based numerical rank.
 Exact objects are converted on the way in; results are plain floats.
 All norms are Euclidean/spectral.
 """
@@ -23,8 +23,9 @@ _ORTHO_TOL = 1e-12
 class Tolerance:
     """Thresholds for numerical rank and empirical convergence calls.
 
-    rank_rel: singular values below rank_rel * sigma_max count as zero.
-    conv_tol: a delta tail below this reads as converged.
+    rank_rel: singular values below rank_rel * sigma_max count as zero;
+        finite, in (0, 1), since at 1 or above every rank reads 0.
+    conv_tol: a delta tail below this reads as converged; finite and > 0.
     tail_window: number of trailing samples that make up a tail.
     """
 
@@ -33,8 +34,12 @@ class Tolerance:
     tail_window: int = 5
 
     def __post_init__(self):
-        if self.rank_rel <= 0 or self.conv_tol <= 0 or self.tail_window <= 0:
-            raise ValueError("tolerances must be strictly positive")
+        if not 0 < self.rank_rel < 1:  # also rejects nan
+            raise ValueError(f"rank tolerance must lie in (0, 1), got {self.rank_rel!r}")
+        if not 0 < self.conv_tol < math.inf:
+            raise ValueError(f"convergence tolerance must be finite and > 0, got {self.conv_tol!r}")
+        if self.tail_window <= 0:
+            raise ValueError("tail window must be strictly positive")
 
 
 DEFAULT_TOL = Tolerance()
@@ -82,23 +87,8 @@ class FloatSubspace:
     def zero(cls, ambient_dim: int) -> "FloatSubspace":
         return cls(ambient_dim, np.zeros((ambient_dim, 0)))
 
-    def projector(self) -> np.ndarray:
-        q = self.ortho_basis
-        if q.shape[1] == 0:
-            return np.zeros((self.ambient_dim, self.ambient_dim))
-        return q @ q.conj().T
-
     def __repr__(self) -> str:
         return f"FloatSubspace(dim {self.dim} of {self.ambient_dim})"
-
-
-def to_float(value: Matrix | Subspace) -> np.ndarray | FloatSubspace:
-    """Entry-wise conversion; subspaces come back orthonormalized."""
-    if isinstance(value, Matrix):
-        return matrix_to_array(value)
-    if isinstance(value, Subspace):
-        return subspace_to_float(value)
-    raise TypeError(f"cannot convert {type(value).__name__}")
 
 
 def matrix_to_array(a: Matrix) -> np.ndarray:
@@ -126,7 +116,7 @@ def array_from_obj(obj: dict) -> np.ndarray:
         bad = next(v for row in raw for v in row if type(v) not in (int, float))
         raise ValueError(f"f64 entries must be JSON numbers, got {bad!r}")
     try:
-        a = np.array(raw, dtype=np.float64)
+        a = np.array(raw, dtype=np.float64).reshape(rows, cols)  # 0 rows stay 0 x cols
     except OverflowError as exc:
         raise ValueError(f"f64 entries must be numbers: {exc}") from exc
     if not np.isfinite(a).all():
@@ -152,11 +142,10 @@ def subspace_to_float(s: Subspace) -> FloatSubspace:
     return FloatSubspace(s.ambient_dim, q[:, : s.dim])
 
 
-def orthonormalize_rows(rows: np.ndarray, ambient_dim: int, tol: Tolerance = DEFAULT_TOL) -> FloatSubspace:
+def orthonormalize_rows(rows: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> FloatSubspace:
     """Span of the given row vectors as a FloatSubspace (rank-truncated)."""
     a = np.atleast_2d(np.asarray(rows))
-    if a.shape[1] != ambient_dim:
-        raise ValueError("row length must match the ambient dimension")
+    ambient_dim = a.shape[1]
     if a.shape[0] == 0:
         return FloatSubspace.zero(ambient_dim)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
@@ -188,16 +177,6 @@ def svd_views(
     v = vh.conj().T
     kernel = FloatSubspace(a.shape[1], v[:, r:], v[:, :r])
     return r, kernel, FloatSubspace(a.shape[0], u[:, :r], u[:, r:]), modulus
-
-
-def float_kernel(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> FloatSubspace:
-    """Null space within the rank tolerance, as an orthonormal basis."""
-    return svd_views(a, tol)[1]
-
-
-def float_image(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> FloatSubspace:
-    """Column space within the rank tolerance."""
-    return svd_views(a, tol)[2]
 
 
 def gamma(a: np.ndarray | Matrix, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -248,14 +227,3 @@ def delta(y: FloatSubspace, z: FloatSubspace) -> float:
 def gap(y: FloatSubspace, z: FloatSubspace) -> float:
     """Symmetric gap max(delta(Y,Z), delta(Z,Y))."""
     return max(delta(y, z), delta(z, y))
-
-
-def dist_to_subspace(x: np.ndarray, y: FloatSubspace) -> float:
-    """Euclidean distance from a vector to the subspace."""
-    v = np.asarray(x).reshape(-1)
-    if v.shape[0] != y.ambient_dim:
-        raise ValueError("vector length must match the ambient dimension")
-    if y.dim == 0:
-        return float(np.linalg.norm(v))
-    q = y.ortho_basis
-    return float(np.linalg.norm(v - q @ (q.conj().T @ v)))

@@ -6,13 +6,12 @@ polynomial, factored over the integers, and confirmed by exact
 synthetic division; roots living in larger extensions are reported
 through a residual degree instead of being approximated.  For a
 finite-dimensional operator every point has finite ascent and descent,
-so both spectra are empty; the profile table carries the per-eigenvalue
-indices that remain meaningful.
-"""
+so both spectra are empty; ``ascent_spectrum`` returns them together
+with the profile table of per-eigenvalue indices that remain
+meaningful."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,8 +23,8 @@ from sympy.polys.domains import ZZ
 from sympy.polys.factortools import dup_factor_list
 
 from .chains import chain_report
-from .exact import Matrix, char_poly, poly_of_matrix
-from .gq import GQ, ZERO, GaussianRational, as_gq, common_denominator, format_scalar
+from .exact import Matrix, char_poly
+from .gq import GQ, ZERO, GaussianRational, common_denominator, format_scalar
 
 CERT_FINITE_DIM = "finite-dim-stabilization"
 
@@ -155,7 +154,13 @@ def point_profile(t: Matrix, lam) -> tuple[int, int, int, int]:
     return rep.asc, rep.dsc, rep.alpha, rep.beta
 
 
-def _profile(t: Matrix) -> SpectrumProfile:
+def ascent_spectrum(t: Matrix) -> SpectrumProfile:
+    """Both spectra, empty for a dense matrix since its chains stabilize by dim X.
+
+    The accompanying profile table lists asc, dsc, alpha and beta of
+    T - lambda at every exact eigenvalue so profile-level statements
+    stay checkable.
+    """
     values, residual = eigenvalues_exact(t)
     points = []
     for lam in values:
@@ -168,39 +173,3 @@ def _profile(t: Matrix) -> SpectrumProfile:
         sigma_dsc=(),
         certificate=CERT_FINITE_DIM,
     )
-
-
-def ascent_spectrum(t: Matrix) -> SpectrumProfile:
-    """Always empty for a dense matrix: chains stabilize by dim X.
-
-    The accompanying profile table lists asc(T - lambda) at every exact
-    eigenvalue so profile-level statements stay checkable.
-    """
-    return _profile(t)
-
-
-def descent_spectrum(t: Matrix) -> SpectrumProfile:
-    """Empty, with the same stabilization certificate and profile table."""
-    return _profile(t)
-
-
-def poly_spectral_map_check(t: Matrix, coeffs) -> bool | None:
-    """Eigenvalue multiset of p(T) versus p of the eigenvalue multiset.
-
-    Returns None (inconclusive) when the characteristic polynomial does
-    not split over the Gaussian rationals.
-    """
-    roots, residual = eigenvalue_multiplicities(t)
-    if residual:
-        return None
-    coeff_list = [as_gq(c) for c in coeffs]
-    mapped = Counter()
-    for lam, mult in roots:
-        value = GQ(0)
-        for c in reversed(coeff_list):
-            value = value * lam + c
-        mapped[value] += mult
-    image_roots, image_residual = eigenvalue_multiplicities(poly_of_matrix(coeff_list, t))
-    if image_residual:
-        return None
-    return Counter(dict(image_roots)) == mapped

@@ -333,7 +333,7 @@ def _structured_block(rng: random.Random, d: int) -> Matrix:
     return v @ core @ invert(v)
 
 
-def random_h1_family(seed: int, dims: tuple[int, int] | None = None) -> tuple[Matrix, Matrix]:
+def random_h1_family(seed: int) -> tuple[Matrix, Matrix]:
     """Commuting pair with kernels in complementary blocks.
 
     T = A ⊕ I and S = I ⊕ B commute for any blocks, and kernels of all
@@ -341,9 +341,7 @@ def random_h1_family(seed: int, dims: tuple[int, int] | None = None) -> tuple[Ma
     holds by construction.
     """
     rng = random.Random(f"h1:{seed}")
-    if dims is None:
-        dims = (rng.randint(2, 4), rng.randint(2, 4))
-    d1, d2 = dims
+    d1, d2 = rng.randint(2, 4), rng.randint(2, 4)
     a = _structured_block(rng, d1)
     b = _structured_block(rng, d2)
     t = block_diag(a, Matrix.identity(d2))
@@ -351,18 +349,12 @@ def random_h1_family(seed: int, dims: tuple[int, int] | None = None) -> tuple[Ma
     return s, t
 
 
-def random_commuting_pair(
-    seed: int, dim: int | None = None, degree: int = 2
-) -> tuple[Matrix, Matrix]:
+def random_commuting_pair(seed: int) -> tuple[Matrix, Matrix]:
     """(p(A), q(A)) for one random A: commutation is automatic and exact."""
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
     rng = random.Random(f"commuting:{seed}")
-    if dim is None:
-        dim = rng.randint(2, 4)
-    a = _structured_block(rng, dim)
-    p = _random_poly(rng, degree)
-    q = _random_poly(rng, degree)
+    a = _structured_block(rng, rng.randint(2, 4))
+    p = _random_poly(rng, 2)
+    q = _random_poly(rng, 2)
     return poly_of_matrix(p, a), poly_of_matrix(q, a)
 
 
@@ -373,11 +365,10 @@ def _random_poly(rng: random.Random, degree: int) -> list[GaussianRational]:
             return coeffs
 
 
-def invertible_commuting_pair(seed: int, dim: int | None = None) -> tuple[Matrix, Matrix]:
+def invertible_commuting_pair(seed: int) -> tuple[Matrix, Matrix]:
     """(a, b) with ab = ba and a invertible: a = A + cI, c off the spectrum."""
     rng = random.Random(f"invertible:{seed}")
-    if dim is None:
-        dim = rng.randint(2, 4)
+    dim = rng.randint(2, 4)
     a0 = _structured_block(rng, dim)
     b = poly_of_matrix(_random_poly(rng, 2), a0)
     for c in range(1, dim + 2):

@@ -426,16 +426,6 @@ def window_profile(sections: dict[int, Matrix], lam) -> dict[str, TowerVerdict]:
     }
 
 
-def tower_verdict(
-    spec: OperatorSpec, lam, quantity: str, cfg: TowerConfig = DEFAULT_CONFIG
-) -> TowerVerdict:
-    """Classify asc/dsc/alpha/beta of (spec - lambda) over the window."""
-    if quantity not in QUANTITIES:
-        raise ValueError(f"unknown quantity {quantity!r}")
-    lam = as_gq(lam)
-    return window_profile(window_sections(spec, cfg), lam)[quantity]
-
-
 @dataclass(frozen=True)
 class TowerSpectrumReport:
     """Window profile per candidate; divergent asc (dsc) puts it in sigma_asc (sigma_dsc)."""
@@ -490,10 +480,6 @@ class PowerRankVerdict:
     n0: int | None = None
     rank: int | None = None
     ranks_seen: tuple[tuple[int, tuple[int, ...]], ...] = ()
-
-    @property
-    def truthy(self) -> bool:
-        return self.kind in ("certain-true", "likely-true")
 
     def to_obj(self) -> dict:
         obj = {"verdict": self.kind}

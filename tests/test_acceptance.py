@@ -26,7 +26,7 @@ from ascdesc.exact import (
 from ascdesc.gq import GQ
 from ascdesc.numeric import Tolerance, delta, gamma, subspace_to_float
 from ascdesc.reporting import dumps
-from ascdesc.spectra import CERT_FINITE_DIM, ascent_spectrum, descent_spectrum
+from ascdesc.spectra import CERT_FINITE_DIM, ascent_spectrum
 from ascdesc.theorems import (
     check_H1,
     check_hypotheses,
@@ -44,7 +44,8 @@ from ascdesc.tower import (
     backward_shift,
     forward_shift,
     identity_tail,
-    tower_verdict,
+    window_profile,
+    window_sections,
 )
 
 from oracles import brute_chain
@@ -105,10 +106,10 @@ def test_criterion_3_finite_dimension_facts():
     for t in corpus():
         rep = chain_report(t)
         assert rep.asc == rep.dsc
-        for profile in (ascent_spectrum(t), descent_spectrum(t)):
-            assert profile.sigma_asc == ()
-            assert profile.sigma_dsc == ()
-            assert profile.certificate == CERT_FINITE_DIM
+        profile = ascent_spectrum(t)
+        assert profile.sigma_asc == ()
+        assert profile.sigma_dsc == ()
+        assert profile.certificate == CERT_FINITE_DIM
     _report(3, "ascent equals descent and both spectra are empty with the "
                "stabilization certificate on the whole corpus")
 
@@ -189,14 +190,17 @@ def test_criterion_7_tower_fixtures_two_windows():
     windows = (TowerConfig(n0=16, step=4, count=3), TowerConfig(n0=32, step=4, count=3))
     finite_values = {}
     for cfg in windows:
-        assert tower_verdict(backward_shift(), 0, "asc", cfg).kind == "divergent"
-        assert tower_verdict(forward_shift(), 0, "dsc", cfg).kind == "divergent"
+        def profile_at_0(spec):
+            return window_profile(window_sections(spec, cfg), 0)
+
+        assert profile_at_0(backward_shift())["asc"].kind == "divergent"
+        assert profile_at_0(forward_shift())["dsc"].kind == "divergent"
         blocks = DirectSumSpec((DenseSpec(J2), DenseSpec(J3), identity_tail()))
-        verdict = tower_verdict(blocks, 0, "asc", cfg)
+        verdict = profile_at_0(blocks)["asc"]
         assert verdict.kind == "finite" and verdict.value == 3
         finite_values.setdefault("blocks", set()).add(verdict.value)
         small = DirectSumSpec((DenseSpec(J2), identity_tail()))
-        verdict = tower_verdict(small, 0, "asc", cfg)
+        verdict = profile_at_0(small)["asc"]
         assert verdict.kind == "finite" and verdict.value == 2
         finite_values.setdefault("small", set()).add(verdict.value)
     assert all(len(v) == 1 for v in finite_values.values()), "windows disagree"

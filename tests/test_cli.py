@@ -190,6 +190,23 @@ def test_converge_probe_counterexample_exit_code(tmp_path):
     assert all(abs(v - 1.0) < 1e-9 for v in tail)
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--tol-rank", v) for v in ("nan", "inf", "1e400", "1", "0")]
+    + [("--tol-conv", v) for v in ("nan", "inf", "1e400", "0")],
+)
+def test_converge_rejects_tolerances_that_decide_every_verdict(tmp_path, flag, value):
+    # at rank_rel >= 1 every rank reads 0, so the ker_lower counterexample
+    # would pass, and an infinite conv_tol passes every tail
+    path = write(tmp_path, "seq.json", RESOLVENT_SEQ)
+    code, out, _ = run_main(["converge", path, "--probe", "ker_lower"])
+    assert code == 3 and json.loads(out)["report"]["probe"]["verdict"] == "fail"
+    code, out, err = run_main(["converge", path, "--probe", "ker_lower", f"{flag}={value}"])
+    lines = err.splitlines()
+    assert code == 2 and not out and len(lines) == 1, err
+    assert lines[0].startswith("error:") and "tolerance" in lines[0]
+
+
 def test_converge_csv_rejects_probe(tmp_path, monkeypatch):
     # rejected before the sequence is loaded or its trajectory computed
     import ascdesc.cli as cli
@@ -235,19 +252,26 @@ def test_converge_tower_sequence_probe(tmp_path):
     assert report["probe"]["witness"]["classifications"]["asc"]["limit"] == "divergent"
 
 
+def test_converge_tower_trajectory_uses_the_window(tmp_path):
+    path = write(tmp_path, "towerseq.json", TOWER_SEQ)
+    for window, base_rank in (["--window", "4,2,2"], 5), ([], 39):  # default 16,8,4: n = 40
+        code, out, _ = run_main(["converge", path, *window])
+        assert code == 0 and json.loads(out)["report"]["trajectory"]["base_rank"] == base_rank
+
+
 # Pinned sha256 of the tower probe reports on the sequence above, written
 # under a fixed name since the report echoes the command.
 TOWER_PROBE_SHA256 = {
-    ("lem1", "0"): "ea7915eb9faaa71f345fa0362b1cabc0e1a1268030ed1133d267a25f9deba1f7",
-    ("lem1", "2"): "954229e035645c8799a3b70c1ebf80e876b0ce6ea50c49533126dbb39d5106ee",
-    ("lem2", "0"): "f266bbeba82af4adda1553cc5417bcf470d6c94211ee0e17363bb9d97b1d39da",
-    ("lem2", "2"): "de14ecfd18cb687f5ef82734032417fc86d748d0cb77c43408aef73bcc0a27bc",
-    ("lem3", "0"): "742cd73a8ca7fece9966ccb533f457317a20a17a5568cc92c88818d807b67118",
-    ("lem3", "2"): "de4acac5340ba795a163bb2b1d253fa5ffee248884eea2c0421a1819a2ea5e0a",
-    ("lem4", "0"): "1a648e9910f59635861a0b9c1eb21bfb4d12f07ac2255dc63bf66ef054d7f381",
-    ("lem4", "2"): "fa977fb0c8a8b49a1ae51fe82df777620d02d1c8d6463a2d79ec4af553759047",
-    ("T1", "0"): "8fe37db3e84608969ac1c71b9ee37ecfcf52eab81c289b9143c7bd08623f2b9c",
-    ("T1", "2"): "3f7cfd9aa44dd169071837d314a760b59d09cf5758f08bdf004c01109196de2c",
+    ("lem1", "0"): "ed04dab00f56a67067a80269b1e8b444aa91b38049d511beea157078e625e722",
+    ("lem1", "2"): "c1e35d2b957d621b2f20788baf0fc4729def4dba5861ad95aadfde4b5a3fb18a",
+    ("lem2", "0"): "5c780d79a63b5052346ec3564169252ace408f58c4a08c27f8aeafd8a0796848",
+    ("lem2", "2"): "edb97b7d041e0be4f17447708412bfd679bc6fc26ad56fd62cdee724926563aa",
+    ("lem3", "0"): "79fe492c776bec6486c01d0504bcb7d86f49d7fd56184bc7dced7cce3560904c",
+    ("lem3", "2"): "9af01f64cfd6c86de0a5151833063085320b2afae75dd14251f8735bbae0f646",
+    ("lem4", "0"): "b29befcc308a15344bcb44033c362ce063e7376cfd0a56885f68898896775372",
+    ("lem4", "2"): "7368a445eda8059f5c7107e055c1af719bf0d5cf12d3865a5e01b34569c2b9e4",
+    ("T1", "0"): "7998f0acc09dc4f2724d2fcad92d34a7e49f08940da8e484d21030b008ae0c1f",
+    ("T1", "2"): "6fa20498092a391aed3cf2eaf3838e667029f27526f0b6685b55f77ac6cff624",
 }
 
 
@@ -315,6 +339,15 @@ def test_gap_float_subspace_files(tmp_path):
     assert result.returncode == 0
     report = json.loads(result.stdout)["report"]
     assert report["gap"] == pytest.approx(0.7071067811865476, abs=1e-9)
+
+
+def test_gap_reads_an_empty_f64_subspace_file(tmp_path):
+    y = write(tmp_path, "y.json", {"rows": 0, "cols": 2, "field": "f64", "entries": []})
+    z = write(tmp_path, "z.json", {"rows": 1, "cols": 2, "field": "f64", "entries": [[1.0, 1.0]]})
+    code, out, err = run_main(["gap", y, z])
+    assert code == 0, err
+    report = json.loads(out)["report"]
+    assert (report["dim_Y"], report["ambient_dim"], report["delta_YZ"], report["delta_ZY"]) == (0, 2, 0.0, 1.0)
 
 
 def assert_one_error_line(result, cause):
@@ -524,6 +557,13 @@ def test_unknown_theorem_exits_2():
     assert result.returncode == 2
 
 
+def test_readme_library_entry_points_import():
+    with open(os.path.join(PKG_ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme.split("## Library entry points", 1)[1]
+    exec(section.split("```python\n", 1)[1].split("```", 1)[0], {})
+
+
 def test_version_flag():
     result = run_cli("--version")
     assert result.returncode == 0 and result.stdout.startswith("ascdesc")
@@ -573,6 +613,11 @@ def _converge(o):
     return ["converge", "{0}", "--format", "csv"], [seq]
 
 
+def _tolerance(o):
+    argv, files = _converge({})
+    return argv + [f"--tol-rank={o['rank']}", f"--tol-conv={o['conv']}"], files
+
+
 def _tower(o):
     diagonal = {"pre": o.get("pre", []), "period": o.get("period", ["1"])}
     spec = {"variant": "banded", "diagonals": o.get("diagonals", {"1": diagonal})}
@@ -596,6 +641,11 @@ def _gap_extreme(o):
 EXTREME = st.sampled_from([1e308, -1e308, sys.float_info.max, 5e-324, -5e-324, -0.0, 0.0, 1.0])
 
 
+# Tolerances as the command line reads them: the non-finite and
+# out-of-range values that must exit 2, and any other float.
+TOLERANCE_TEXT = st.sampled_from(["nan", "inf", "-inf", "1e400", "1", "0"]) | st.floats().map(repr)
+
+
 def _extreme_pair(cols):
     grid = st.lists(st.lists(EXTREME, min_size=cols, max_size=cols), min_size=1, max_size=3)
     return st.fixed_dictionaries({"y": grid, "z": grid})
@@ -609,6 +659,7 @@ HOSTILE_CASES = {
     "probe": (_probe, st.builds(lambda o, probe: dict(o, probe=probe),
                                 _overrides(("seed", "exponent", "n_range")), st.sampled_from(PROBE_IDS))),
     "tower": (_tower, _overrides(("pre", "period", "diagonals"))),
+    "tolerance": (_tolerance, st.fixed_dictionaries({"rank": TOLERANCE_TEXT, "conv": TOLERANCE_TEXT})),
 }
 
 

@@ -93,12 +93,6 @@ def test_lowest_terms_fields():
     assert v.re_den > 0 and v.im_den > 0
 
 
-def test_conjugate_and_abs2():
-    v = GQ(1, 2)
-    assert v * v.conjugate() == GQ(v.abs2())
-    assert v.abs2() == Fraction(5)
-
-
 def test_immutability_and_hash():
     v = GQ(1, 1)
     with pytest.raises(AttributeError):

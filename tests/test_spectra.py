@@ -8,11 +8,9 @@ from ascdesc.gq import GQ
 from ascdesc.spectra import (
     CERT_FINITE_DIM,
     ascent_spectrum,
-    descent_spectrum,
     eigenvalue_multiplicities,
     eigenvalues_exact,
     point_profile,
-    poly_spectral_map_check,
 )
 from ascdesc.theorems import random_matrix
 from oracles import oracle_eigen
@@ -140,9 +138,9 @@ def test_point_profile_examples():
 def test_spectra_empty_with_certificate():
     for seed in range(10):
         t = random_matrix(seed, 2 + seed % 4)
-        for profile in (ascent_spectrum(t), descent_spectrum(t)):
-            assert profile.sigma_asc == () and profile.sigma_dsc == ()
-            assert profile.certificate == CERT_FINITE_DIM
+        profile = ascent_spectrum(t)
+        assert profile.sigma_asc == () and profile.sigma_dsc == ()
+        assert profile.certificate == CERT_FINITE_DIM
 
 
 def test_profile_table_contents():
@@ -174,31 +172,3 @@ def test_positive_alpha_iff_eigenvalue():
             assert probe not in values
             assert point_profile(t, probe)[2] == 0
 
-
-def test_poly_map_examples():
-    assert poly_spectral_map_check(Matrix.diag([1, 2]), [GQ(0), GQ(0), GQ(1)]) is True
-    assert poly_spectral_map_check(Matrix.diag([1, 2]), [GQ(5)]) is True
-    assert poly_spectral_map_check(J2, [GQ(3), GQ(1)]) is True
-
-
-def test_poly_map_inconclusive_without_splitting():
-    companion = Matrix.from_rows([[0, 2], [1, 0]])
-    assert poly_spectral_map_check(companion, [GQ(0), GQ(1)]) is None
-
-
-def test_poly_map_on_random_splitting_instances():
-    import random
-
-    rng = random.Random("spectral-map")
-    for seed in range(15):
-        dim = rng.randint(2, 4)
-        rows = [[GQ(0)] * dim for _ in range(dim)]
-        for i in range(dim):
-            rows[i][i] = GQ(rng.randint(-2, 2), rng.randint(-1, 1))
-            for j in range(i + 1, dim):
-                rows[i][j] = GQ(rng.randint(-1, 1))
-        t = Matrix.from_rows(rows)  # triangular, so the polynomial splits
-        coeffs = [GQ(rng.randint(-2, 2)) for _ in range(3)]
-        if not any(coeffs):
-            coeffs[0] = GQ(1)
-        assert poly_spectral_map_check(t, coeffs) is True
