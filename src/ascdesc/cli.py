@@ -17,7 +17,7 @@ import math
 import sys
 
 from . import __version__
-from .convergence import PROBE_IDS, probe, sequence_from_obj, trajectory
+from .convergence import PROBE_IDS, probe, sequence_from_obj, tower_members, trajectory
 from .exact import json_object, matrix_from_obj
 from .gq import GaussianRational, parse_scalar
 from .numeric import (
@@ -225,7 +225,9 @@ def _cmd_converge(args, argv) -> int:
     spec = sequence_from_obj(_load_json(args.sequence))
     tol = _tolerance(args)
     cfg = _parse_window(args.window)
-    traj = trajectory(spec, tol, cfg)
+    # a tower probe reads every window size; realize each member once for both
+    members = tower_members(spec, cfg.window()) if spec.is_tower and args.probe else None
+    traj = trajectory(spec, tol, cfg, members)
     if args.format == "csv":
         _emit(args, traj.to_csv())
         return EXIT_OK
@@ -233,7 +235,7 @@ def _cmd_converge(args, argv) -> int:
     code = EXIT_OK
     if args.probe:
         lam = _parse_lambda(args.lam)
-        verdict = probe(spec, args.probe, lam, tol=tol, cfg=cfg, traj=traj)
+        verdict = probe(spec, args.probe, lam, tol=tol, cfg=cfg, traj=traj, members=members)
         report["probe"] = verdict.to_obj()
         if verdict.verdict == "fail":
             code = EXIT_FAIL

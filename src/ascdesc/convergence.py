@@ -52,7 +52,6 @@ from .tower import (
     TowerConfig,
     spec_from_obj,
     window_profile,
-    window_sections,
 )
 
 PROBE_IDS = (
@@ -281,17 +280,23 @@ def _sample_matrices(spec: SequenceSpec) -> tuple[np.ndarray, list[tuple[int, np
 
 
 def trajectory(
-    spec: SequenceSpec, tol: Tolerance = DEFAULT_TOL, cfg: TowerConfig = DEFAULT_CONFIG
+    spec: SequenceSpec,
+    tol: Tolerance = DEFAULT_TOL,
+    cfg: TowerConfig = DEFAULT_CONFIG,
+    members: TowerMembers | None = None,
 ) -> GapTrajectory:
     """Gap and reduced-minimum-modulus trajectory of the sequence.
 
     Tower-based sequences are realized at the largest truncation of the
     window ``cfg``; the exact window semantics live in the probes.
+    members, if given, must be tower_members(spec, sizes) with sizes
+    ending in that truncation.
     """
     if spec.is_tower:
-        limit_m, samples_m = _tower_sample_matrices(spec, cfg)
-        limit = matrix_to_array(limit_m)
-        realized = [(n, matrix_to_array(m)) for n, m in samples_m]
+        n_ref = cfg.window()[-1]
+        base, tail = members or tower_members(spec, (n_ref,))
+        limit = matrix_to_array(base[n_ref])
+        realized = [(n, matrix_to_array(sections[n_ref])) for n, sections in tail]
     else:
         limit, realized = _sample_matrices(spec)
     return _trajectory_from(limit, realized, tol)
@@ -415,6 +420,7 @@ def probe(
     tol: Tolerance = DEFAULT_TOL,
     cfg: TowerConfig = DEFAULT_CONFIG,
     traj: GapTrajectory | None = None,
+    members: TowerMembers | None = None,
 ) -> TheoremVerdict:
     """Check one convergence statement on one sequence at one point.
 
@@ -426,12 +432,14 @@ def probe(
     fail with the counterexample trajectory in the witness.
 
     traj, if given, must be trajectory(spec, tol); dense probes reuse it
-    instead of recomputing it.  Tower probes do not read it.
+    instead of recomputing it.  members, if given, must be
+    tower_members(spec, cfg.window()); tower probes read their sections
+    instead of realizing them again.
     """
     if proposition not in PROBE_IDS:
         raise ValueError(f"unknown proposition id {proposition!r}")
     if spec.is_tower:
-        verdict, witness, note = _probe_tower(spec, proposition, lam, cfg)
+        verdict, witness, note = _probe_tower(spec, proposition, lam, cfg, members)
     else:
         verdict, witness, note = _probe_dense(spec, proposition, lam, tol, traj)
     instance = {
@@ -527,15 +535,17 @@ def _probe_dense(spec, proposition, lam, tol: Tolerance, traj):
     return "pass", witness, ""
 
 
-def _tower_sample_matrices(spec: SequenceSpec, cfg: TowerConfig):
-    """Exact realizations at the largest window truncation."""
-    n_ref = cfg.window()[-1]
-    base = spec.base.realize(n_ref)
-    out = []
-    for n in spec.samples():
-        pert = _tower_perturbed(spec, n)
-        out.append((n, pert.realize(n_ref)))
-    return base, out
+# Sections of the base and of each sampled member (n, T_n), by size.
+TowerMembers = tuple[dict[int, Matrix], list[tuple[int, dict[int, Matrix]]]]
+
+
+def tower_members(spec: SequenceSpec, sizes: tuple[int, ...]) -> TowerMembers:
+    """Exact sections of the base and of every sampled member, each realized once per size."""
+
+    def sections(op: OperatorSpec) -> dict[int, Matrix]:
+        return {k: op.realize(k) for k in sizes}
+
+    return sections(spec.base), [(n, sections(_tower_perturbed(spec, n))) for n in spec.samples()]
 
 
 def _tower_perturbed(spec: SequenceSpec, n: int) -> OperatorSpec:
@@ -549,7 +559,7 @@ def _tower_perturbed(spec: SequenceSpec, n: int) -> OperatorSpec:
     return SumSpec((spec.base, pert.direction.scaled(factor)))
 
 
-def _probe_tower(spec, proposition, lam, cfg: TowerConfig):
+def _probe_tower(spec, proposition, lam, cfg: TowerConfig, members: TowerMembers | None):
     if not isinstance(lam, GaussianRational):
         raise ValueError("tower probes need an exact Gaussian-rational point")
     if proposition in _SUB_PROBES:
@@ -558,11 +568,9 @@ def _probe_tower(spec, proposition, lam, cfg: TowerConfig):
         ("asc",) if proposition in ("lem1", "lem2") else ("dsc",)
     )
     # one profile per sequence member, read for each quantity
-    limit = window_profile(window_sections(spec.base, cfg), lam)
-    tail = [
-        window_profile(window_sections(_tower_perturbed(spec, n), cfg), lam)
-        for n in spec.samples()
-    ]
+    base_sections, member_sections = members or tower_members(spec, cfg.window())
+    limit = window_profile(base_sections, lam)
+    tail = [window_profile(sections, lam) for _, sections in member_sections]
     results: dict = {}
     failures = []
     inconclusive = False

@@ -26,8 +26,11 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from sympy.polys.domains import ZZ_I
-from sympy.polys.matrices import DomainMatrix
+# Nothing in the package calls sympy.  It is still imported at load
+# because ascbench/run.py:import_layers takes the median of sympy's
+# -X importtime line and fails when there is none; ROADMAP item 1 makes it
+# read an absent module as 0 s, and then this import goes.
+import sympy  # noqa: F401
 
 from .gq import (
     GQ,
@@ -557,23 +560,65 @@ def is_direct_sum(parts: Sequence[Subspace]) -> bool:
     return len(echelon(row for p in parts for row in p.rows)) == sum(p.dim for p in parts)
 
 
+def _dot(terms: list[tuple[int, int, int]], vec: list[tuple[int, int]]) -> tuple[int, int]:
+    """Sum of c * vec[j] over the (j, re c, im c) in terms, as a Gaussian integer."""
+    sr = si = 0
+    for j, cr, ci in terms:
+        vr, vi = vec[j]
+        sr += cr * vr - ci * vi
+        si += cr * vi + ci * vr
+    return sr, si
+
+
+def _berkowitz(n: int, rows: Sequence[Row]) -> list[tuple[int, int]]:
+    """Coefficients of det(xI - B), descending, for B given by its n sparse rows.
+
+    Berkowitz's division-free recurrence (Berkowitz 1984): with B_r the
+    leading r x r block, s the part of column r above the diagonal, c the
+    part of row r left of it and b = B[r][r], the characteristic
+    polynomial of B_(r+1) is the Toeplitz product of
+    (1, -b, -c s, -c B_r s, ..., -c B_r^(r-1) s) with that of B_r.  Only
+    Gaussian-integer products and sums occur.
+    """
+    poly = [(1, 0)]
+    for r in range(n):
+        br, bi = rows[r].get(r, (0, 0))
+        q = [(1, 0), (-br, -bi)]
+        block = [[(j, cr, ci) for j, (cr, ci) in rows[i].items() if j < r] for i in range(r + 1)]
+        vec = [rows[i].get(r, (0, 0)) for i in range(r)]
+        for k in range(r):
+            if k:
+                vec = [_dot(terms, vec) for terms in block[:r]]
+            sr, si = _dot(block[r], vec)
+            q.append((-sr, -si))
+        new = []
+        for i in range(r + 2):
+            sr = si = 0
+            for j in range(max(0, i - r - 1), min(i, r) + 1):
+                qr, qi = q[i - j]
+                pr, pi = poly[j]
+                sr += qr * pr - qi * pi
+                si += qr * pi + qi * pr
+            new.append((sr, si))
+        poly = new
+    return poly
+
+
 def char_poly(a: Matrix) -> tuple[GaussianRational, ...]:
     """Coefficients of det(xI - A), ascending by power, leading term 1.
 
-    With D the common denominator of the entries, B = D*A is converted
-    once to a sympy ``DomainMatrix`` over the Gaussian integers ``ZZ_I``,
-    whose ``charpoly`` runs the division-free Berkowitz algorithm
-    (Berkowitz 1984).  det(xI - A) = det(Dx I - B) / D^n, so the
-    coefficient of x^k is that of B divided by D^(n-k), exactly.
+    With D the common denominator of the entries, the division-free
+    Berkowitz recurrence runs once on the Gaussian-integer rows of
+    B = D*A, as (re, im) pairs of ints.  det(xI - A) = det(Dx I - B) / D^n,
+    so the coefficient of x^k is that of B divided by D^(n-k), exactly.
     """
     if not a.is_square:
         raise ValueError("characteristic polynomial requires a square matrix")
     n, den = a.rows, a.den
-    rows = [[ZZ_I(*row.get(j, (0, 0))) for j in range(n)] for row in a.int_rows]
-    coeffs = DomainMatrix(rows, (n, n), ZZ_I).charpoly()
+    coeffs = _berkowitz(n, a.int_rows)
     return tuple(
-        GQ(Fraction(int(c.x), den ** (n - k)), Fraction(int(c.y), den ** (n - k)))
-        for k, c in enumerate(reversed(coeffs))
+        GQ(Fraction(re, den ** (n - k)), Fraction(im, den ** (n - k)))
+        for k, (re, im) in enumerate(reversed(coeffs))
     )
 
 

@@ -302,6 +302,25 @@ def test_spectrum_tower_realizes_each_section_once(tmp_path, monkeypatch):
     assert sizes == [8, 12, 16, 20]
 
 
+def test_converge_tower_probe_realizes_each_member_once(tmp_path, monkeypatch):
+    from ascdesc.tower import OperatorSpec
+
+    calls = []
+    realize = OperatorSpec.realize
+
+    def counting(spec, n):
+        calls.append((type(spec).__name__, n))
+        return realize(spec, n)
+
+    monkeypatch.setattr(OperatorSpec, "realize", counting)
+    path = write(tmp_path, "towerseq.json", TOWER_SEQ)
+    assert run_main(["converge", path, "--probe", "lem1", "--window", "6,3,3"])[0] == 0
+    # members n = 1..6 are sums B + e1 e1^T / n; the trajectory and the probe
+    # share one realization per window size 6, 9, 12
+    assert calls.count(("SumSpec", 12)) == 6
+    assert calls.count(("BandedSpec", 12)) == 7
+
+
 def test_converge_inconclusive_probe_exit_code(tmp_path):
     # the gamma hypothesis cannot be certified for the resolvent sequence,
     # so the range upper-convergence probe must not conclude

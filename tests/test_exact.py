@@ -573,6 +573,22 @@ def test_cayley_hamilton(dim, seed, scale):
     assert acc == Matrix.zeros(dim, dim)
 
 
+@given(st.one_of(gq_matrices(square=True, max_dim=9),
+                 gq_matrices(square=True, max_dim=9).map(lambda m: m.scale(GQ(10**12, -7)))))
+@settings(max_examples=50, deadline=None)
+def test_char_poly_matches_sympy_domain_matrix(m):
+    from sympy.polys.domains import ZZ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    n, den = m.rows, m.den
+    rows = [[ZZ_I(*row.get(j, (0, 0))) for j in range(n)] for row in m.int_rows]
+    reference = DomainMatrix(rows, (n, n), ZZ_I).charpoly()
+    assert char_poly(m) == tuple(
+        GQ(Fraction(int(c.x), den ** (n - k)), Fraction(int(c.y), den ** (n - k)))
+        for k, c in enumerate(reversed(reference))
+    )
+
+
 # --- JSON ----------------------------------------------------------------
 
 

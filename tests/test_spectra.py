@@ -1,12 +1,21 @@
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
-from ascdesc.exact import Matrix, block_diag, invert
+from ascdesc.cli import main
+from ascdesc.exact import Matrix, block_diag, invert, matrix_to_obj
 from ascdesc.gq import GQ
 from ascdesc.spectra import (
     CERT_FINITE_DIM,
+    _simple_roots_mod,
     ascent_spectrum,
     eigenvalue_multiplicities,
     eigenvalues_exact,
@@ -127,6 +136,95 @@ def test_eigenvalue_oracle_cases_cover_the_root_shapes():
     roots, residual = eigenvalue_multiplicities(EIGEN_CASES["mixed"])
     assert dict(roots) == {GQ(half, 1): 2, GQ(0, Fraction(1, 3)): 1, GQ(0, Fraction(-1, 3)): 1}
     assert residual == 4
+
+
+@st.composite
+def _scalars(draw, bound):
+    den = draw(st.sampled_from([1, 1, 2, 3, 7]))
+    part = st.integers(min_value=-bound, max_value=bound)
+    return GQ(Fraction(draw(part), den), Fraction(draw(part), den))
+
+
+@st.composite
+def eigen_matrices(draw):
+    """n <= 8: plain or sparse entries, or V J V^-1 with repeated nonzero eigenvalues."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    bound = draw(st.sampled_from([3, 10**12]))
+    kind = draw(st.sampled_from(["dense", "sparse", "jordan"]))
+    if kind != "jordan":
+        zero = st.just(GQ(0))
+        entry = _scalars(bound) if kind == "dense" else st.one_of(zero, zero, zero, _scalars(bound))
+        return Matrix(n, n, draw(st.lists(entry, min_size=n * n, max_size=n * n)))
+    values = draw(st.lists(_scalars(bound), min_size=1, max_size=3))
+    blocks, left = [], n
+    while left:
+        size = draw(st.integers(min_value=1, max_value=left))
+        blocks.append((draw(st.sampled_from(values)), size))
+        left -= size
+    j = block_diag(*(
+        Matrix(size, size, [lam if r == c else GQ(int(c == r + 1))
+                            for r in range(size) for c in range(size)])
+        for lam, size in blocks
+    ))
+    unit = st.integers(min_value=-1, max_value=1)
+    lower = Matrix(n, n, [GQ(1) if r == c else GQ(draw(unit)) if c < r else GQ(0)
+                          for r in range(n) for c in range(n)])
+    upper = Matrix(n, n, [GQ(1) if r == c else GQ(draw(unit), draw(unit)) if c > r else GQ(0)
+                          for r in range(n) for c in range(n)])
+    v = lower @ upper
+    return v @ j @ invert(v)
+
+
+@given(eigen_matrices())
+@settings(max_examples=30, deadline=None)
+def test_eigenvalue_multiplicities_match_oracle_property(t):
+    roots, residual = eigenvalue_multiplicities(t)
+    expected, expected_residual = oracle_eigen(t)
+    assert {(lam.re, lam.im): mult for lam, mult in roots} == expected
+    assert residual == expected_residual
+
+
+def test_eigenvalues_of_one_by_one_and_zero_matrices():
+    lam = GQ(Fraction(-7, 3), 2)
+    assert eigenvalue_multiplicities(Matrix.from_rows([[lam]])) == (((lam, 1),), 0)
+    assert eigenvalue_multiplicities(Matrix.zeros(4, 4)) == (((GQ(0), 4),), 0)
+
+
+def test_roots_colliding_modulo_small_primes_move_the_prime_on():
+    # 4390 - 1 = 3 * 7 * 11 * 19: the two roots meet mod 3, 7, 11 and 19
+    h = [(1, 0), (-4391, 0), (4390, 0)]
+    assert _simple_roots_mod(h, [(2, 0), (-4391, 0)])[0] == 23
+    t = jordan_similar([(GQ(1), 1), (GQ(4390), 2)], 4)
+    assert eigenvalue_multiplicities(t) == (((GQ(1), 1), (GQ(4390), 2)), 0)
+
+
+def test_eigenvalue_far_beyond_the_prime_is_lifted():
+    # Both roots are simple mod 3.  The residue of 10^9 + 5i is only right
+    # once 3^k exceeds twice the coefficient bound of about 3 * 10^9.
+    lam = GQ(10**9, 5)
+    t = jordan_similar([(lam, 2), (GQ(2), 1)], 3)
+    assert eigenvalue_multiplicities(t) == (((GQ(2), 1), (lam, 2)), 0)
+    assert eigenvalue_multiplicities(t.scale(Fraction(1, 6))) == (
+        ((GQ(Fraction(1, 3)), 1), (lam * GQ(Fraction(1, 6)), 2)), 0
+    )
+
+
+def test_dense_paths_do_not_call_sympy(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sympy reached from the eigenvalue path")
+
+    for name in ("dup_factor_list", "dup_zz_factor"):
+        monkeypatch.setattr(sympy.polys.factortools, name, refuse)
+    monkeypatch.setattr(DomainMatrix, "charpoly", refuse)
+    eigenvalue_multiplicities.cache_clear()
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(matrix_to_obj(EIGEN_CASES["mixed"])), encoding="utf-8")
+    for argv in (["spectrum", str(path)],
+                 ["verify", "--theorem", "app_blocks", "--seed", "0", "--trials", "3"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+    assert eigenvalue_multiplicities.cache_info().misses > 0
 
 
 def test_point_profile_examples():

@@ -215,11 +215,20 @@ def test_power_finite_rank_sum_with_vanishing_band():
 
 
 def test_power_finite_rank_nilpotent_band_probe():
-    # a two-band nilpotent-like spec is not structurally certain but the
-    # window probe settles it: dense block with zero tail
+    # a dense block beside a band with no diagonals has finite rank by its
+    # structure alone, so no window probe runs
     spec = DirectSumSpec((DenseSpec(J2), BandedSpec.from_dict({})))
     verdict = is_power_finite_rank(spec, CFG)
-    assert verdict.kind in ("certain-true", "likely-true")
+    assert verdict.kind == "certain-true" and verdict.ranks_seen == ()
+
+
+def test_power_finite_rank_weighted_shift_reaches_the_probe():
+    # the weighted shift with weights 1, 0, 1, 0, ... squares to 0 on every
+    # section, which only the window probe of its powers sees
+    spec = BandedSpec.from_dict({1: EventuallyPeriodic(period=(GQ(1), GQ(0)))})
+    verdict = is_power_finite_rank(spec, CFG)
+    assert verdict.kind == "likely-true" and verdict.n0 == 2 and verdict.rank == 0
+    assert verdict.ranks_seen == ((1, (4, 6, 8)), (2, (0, 0, 0)))
 
 
 def test_spec_json_round_trip():
