@@ -17,8 +17,8 @@ import math
 import sys
 
 from . import __version__
-from .convergence import PROBE_IDS, probe, sequence_from_obj, tower_members, trajectory
-from .exact import json_object, matrix_from_obj
+from .convergence import PROBE_IDS, probe, sequence_from_obj, trajectory
+from .exact import integer_span, json_object, matrix_from_obj
 from .gq import GaussianRational, parse_scalar
 from .numeric import (
     FloatSubspace,
@@ -138,13 +138,8 @@ def _subspace_from_file(path: str, tol: Tolerance) -> FloatSubspace:
     obj = json_object(_load_json(path), "subspace file")
     field = obj.get("field", "gq")
     if field == "gq":
-        from .exact import Subspace
-
         matrix = matrix_from_obj(obj)
-        span = Subspace.from_spanning_rows(
-            matrix.cols, [matrix.row(i) for i in range(matrix.rows)]
-        )
-        return subspace_to_float(span)
+        return subspace_to_float(integer_span(matrix.cols, matrix.int_rows))
     if field == "f64":
         return orthonormalize_rows(array_from_obj(obj), tol)
     raise ValueError(f"unsupported field {field!r} for a subspace file")
@@ -225,9 +220,7 @@ def _cmd_converge(args, argv) -> int:
     spec = sequence_from_obj(_load_json(args.sequence))
     tol = _tolerance(args)
     cfg = _parse_window(args.window)
-    # a tower probe reads every window size; realize each member once for both
-    members = tower_members(spec, cfg.window()) if spec.is_tower and args.probe else None
-    traj = trajectory(spec, tol, cfg, members)
+    traj = trajectory(spec, tol, cfg)
     if args.format == "csv":
         _emit(args, traj.to_csv())
         return EXIT_OK
@@ -235,7 +228,7 @@ def _cmd_converge(args, argv) -> int:
     code = EXIT_OK
     if args.probe:
         lam = _parse_lambda(args.lam)
-        verdict = probe(spec, args.probe, lam, tol=tol, cfg=cfg, traj=traj, members=members)
+        verdict = probe(spec, args.probe, lam, tol=tol, cfg=cfg, traj=traj)
         report["probe"] = verdict.to_obj()
         if verdict.verdict == "fail":
             code = EXIT_FAIL

@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import Matrix, json_integer, json_object, matrix_from_obj, matrix_to_obj
-from .gq import GQ, GaussianRational, format_scalar
+from .gq import GaussianRational, format_scalar
 from .numeric import (
     DEFAULT_TOL,
     Tolerance,
@@ -48,7 +48,6 @@ from .theorems import TheoremVerdict
 from .tower import (
     DEFAULT_CONFIG,
     OperatorSpec,
-    SumSpec,
     TowerConfig,
     spec_from_obj,
     window_profile,
@@ -283,18 +282,15 @@ def trajectory(
     spec: SequenceSpec,
     tol: Tolerance = DEFAULT_TOL,
     cfg: TowerConfig = DEFAULT_CONFIG,
-    members: TowerMembers | None = None,
 ) -> GapTrajectory:
     """Gap and reduced-minimum-modulus trajectory of the sequence.
 
     Tower-based sequences are realized at the largest truncation of the
     window ``cfg``; the exact window semantics live in the probes.
-    members, if given, must be tower_members(spec, sizes) with sizes
-    ending in that truncation.
     """
     if spec.is_tower:
         n_ref = cfg.window()[-1]
-        base, tail = members or tower_members(spec, (n_ref,))
+        base, tail = _tower_members(spec, (n_ref,))
         limit = matrix_to_array(base[n_ref])
         realized = [(n, matrix_to_array(sections[n_ref])) for n, sections in tail]
     else:
@@ -420,7 +416,6 @@ def probe(
     tol: Tolerance = DEFAULT_TOL,
     cfg: TowerConfig = DEFAULT_CONFIG,
     traj: GapTrajectory | None = None,
-    members: TowerMembers | None = None,
 ) -> TheoremVerdict:
     """Check one convergence statement on one sequence at one point.
 
@@ -432,14 +427,12 @@ def probe(
     fail with the counterexample trajectory in the witness.
 
     traj, if given, must be trajectory(spec, tol); dense probes reuse it
-    instead of recomputing it.  members, if given, must be
-    tower_members(spec, cfg.window()); tower probes read their sections
-    instead of realizing them again.
+    instead of recomputing it.
     """
     if proposition not in PROBE_IDS:
         raise ValueError(f"unknown proposition id {proposition!r}")
     if spec.is_tower:
-        verdict, witness, note = _probe_tower(spec, proposition, lam, cfg, members)
+        verdict, witness, note = _probe_tower(spec, proposition, lam, cfg)
     else:
         verdict, witness, note = _probe_dense(spec, proposition, lam, tol, traj)
     instance = {
@@ -539,27 +532,27 @@ def _probe_dense(spec, proposition, lam, tol: Tolerance, traj):
 TowerMembers = tuple[dict[int, Matrix], list[tuple[int, dict[int, Matrix]]]]
 
 
-def tower_members(spec: SequenceSpec, sizes: tuple[int, ...]) -> TowerMembers:
-    """Exact sections of the base and of every sampled member, each realized once per size."""
+def _tower_members(spec: SequenceSpec, sizes: tuple[int, ...]) -> TowerMembers:
+    """Exact sections of the base and of every sampled member T_n = T + n^(-k) E.
 
-    def sections(op: OperatorSpec) -> dict[int, Matrix]:
-        return {k: op.realize(k) for k in sizes}
-
-    return sections(spec.base), [(n, sections(_tower_perturbed(spec, n))) for n in spec.samples()]
-
-
-def _tower_perturbed(spec: SequenceSpec, n: int) -> OperatorSpec:
+    T and E are realized once per size, and each member's section is
+    T_N + n^(-k) E_N.
+    """
+    base = {size: spec.base.realize(size) for size in sizes}
     pert = spec.perturbation
     if not isinstance(pert.direction, OperatorSpec):
         raise ValueError("tower sequences need an operator-spec perturbation")
-    exponent = pert.exponent
-    if exponent != int(exponent):
+    if pert.exponent != int(pert.exponent):
         raise ValueError("tower sequences need an integer exponent to stay exact")
-    factor = GQ(Fraction(1, n ** int(exponent)))
-    return SumSpec((spec.base, pert.direction.scaled(factor)))
+    k = int(pert.exponent)
+    direction = {size: pert.direction.realize(size) for size in sizes}
+    return base, [
+        (n, {size: base[size] + e.scale(Fraction(1, n**k)) for size, e in direction.items()})
+        for n in spec.samples()
+    ]
 
 
-def _probe_tower(spec, proposition, lam, cfg: TowerConfig, members: TowerMembers | None):
+def _probe_tower(spec, proposition, lam, cfg: TowerConfig):
     if not isinstance(lam, GaussianRational):
         raise ValueError("tower probes need an exact Gaussian-rational point")
     if proposition in _SUB_PROBES:
@@ -568,7 +561,7 @@ def _probe_tower(spec, proposition, lam, cfg: TowerConfig, members: TowerMembers
         ("asc",) if proposition in ("lem1", "lem2") else ("dsc",)
     )
     # one profile per sequence member, read for each quantity
-    base_sections, member_sections = members or tower_members(spec, cfg.window())
+    base_sections, member_sections = _tower_members(spec, cfg.window())
     limit = window_profile(base_sections, lam)
     tail = [window_profile(sections, lam) for _, sections in member_sections]
     results: dict = {}

@@ -92,11 +92,17 @@ class FloatSubspace:
 
 
 def matrix_to_array(a: Matrix) -> np.ndarray:
-    if any(v.im for v in a.entries):
-        data = [v.to_complex() for v in a.entries]
-        return np.array(data, dtype=np.complex128).reshape(a.rows, a.cols)
-    data = [float(v.re) for v in a.entries]
-    return np.array(data, dtype=np.float64).reshape(a.rows, a.cols)
+    """A as floats, read from the integer rows of D*A.
+
+    int / int is correctly rounded, so each entry is float(Fraction(x, D)).
+    """
+    is_complex = any(y for row in a.int_rows for _, y in row.values())
+    out = np.zeros((a.rows, a.cols), dtype=np.complex128 if is_complex else np.float64)
+    den = a.den
+    for i, row in enumerate(a.int_rows):
+        for j, (x, y) in row.items():
+            out[i, j] = complex(x / den, y / den) if is_complex else x / den
+    return out
 
 
 def array_from_obj(obj: dict) -> np.ndarray:

@@ -191,13 +191,23 @@ def _primes_3_mod_4():
         p += 4
 
 
+# rejected primes after which _simple_roots_mod checks that h is square-free;
+# more than the four that the roots 1 and 4390 reject (3, 7, 11 and 19)
+_PRIMES_BEFORE_PROOF = 8
+
+
 def _simple_roots_mod(h: list[GI], dh: list[GI]) -> tuple[int, list[GI]]:
     """The first prime p = 3 mod 4 at which every root of h in F_(p^2) is simple, and those roots.
 
     A square-free h has a nonzero discriminant, so all but finitely many
-    primes qualify.
+    primes qualify.  Once _PRIMES_BEFORE_PROOF primes are rejected,
+    gcd(h, h') is computed once over Z[i]: a repeated root raises
+    RuntimeError instead of rejecting every prime, and a square-free h
+    goes on to the next prime.
     """
-    for p in _primes_3_mod_4():
+    for rejected, p in enumerate(_primes_3_mod_4()):
+        if rejected == _PRIMES_BEFORE_PROOF and len(_subresultant_gcd(h, dh)) > 1:
+            raise RuntimeError("h has a repeated root, so it is not square-free")
         roots = [z for z in product(range(p), repeat=2) if _eval_mod(h, z, p) == (0, 0)]
         if all(_eval_mod(dh, z, p) != (0, 0) for z in roots):
             return p, roots

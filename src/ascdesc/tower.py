@@ -84,12 +84,6 @@ class EventuallyPeriodic:
             return GQ(0)
         return self.period[(t - len(self.pre)) % len(self.period)]
 
-    def scaled(self, factor: GaussianRational) -> "EventuallyPeriodic":
-        return EventuallyPeriodic(
-            tuple(factor * v for v in self.pre),
-            tuple(factor * v for v in self.period),
-        )
-
     def to_obj(self) -> dict:
         return {
             "pre": [format_scalar(v) for v in self.pre],
@@ -114,9 +108,6 @@ class OperatorSpec:
     def _realize(self, n: int) -> Matrix:
         raise NotImplementedError
 
-    def scaled(self, factor) -> "OperatorSpec":
-        raise NotImplementedError
-
     def to_obj(self) -> dict:
         raise NotImplementedError
 
@@ -137,9 +128,6 @@ class DenseSpec(OperatorSpec):
     def _realize(self, n: int) -> Matrix:
         m = self.matrix
         return Matrix.from_integer_rows(n, m.den, [*m.int_rows, *[{}] * (n - m.rows)])
-
-    def scaled(self, factor) -> "DenseSpec":
-        return DenseSpec(self.matrix.scale(factor))
 
     def to_obj(self) -> dict:
         return {"variant": "dense", "matrix": matrix_to_obj(self.matrix)}
@@ -179,10 +167,6 @@ class BandedSpec(OperatorSpec):
                     rows[i0 + t][j0 + t] = integer[v]
         return Matrix.from_integer_rows(n, den, rows)
 
-    def scaled(self, factor) -> "BandedSpec":
-        f = as_gq(factor)
-        return BandedSpec(tuple((o, s.scaled(f)) for o, s in self.diagonals))
-
     def is_zero(self) -> bool:
         return all(
             not any(seq.pre) and not any(seq.period) for _, seq in self.diagonals
@@ -215,12 +199,6 @@ class FiniteRankSpec(OperatorSpec):
             total = total + column @ row
         return total
 
-    def scaled(self, factor) -> "FiniteRankSpec":
-        f = as_gq(factor)
-        return FiniteRankSpec(
-            tuple((tuple(f * v for v in left), right) for left, right in self.terms)
-        )
-
     def to_obj(self) -> dict:
         return {
             "variant": "finite_rank",
@@ -248,9 +226,6 @@ class SumSpec(OperatorSpec):
         for p in self.parts:
             total = total + p.realize(n)
         return total
-
-    def scaled(self, factor) -> "SumSpec":
-        return SumSpec(tuple(p.scaled(factor) for p in self.parts))
 
     def to_obj(self) -> dict:
         return {"variant": "sum", "parts": [p.to_obj() for p in self.parts]}
@@ -301,9 +276,6 @@ class DirectSumSpec(OperatorSpec):
     def _realize(self, n: int) -> Matrix:
         sizes = self._allocate(n)
         return block_diag(*(p.realize(size) for p, size in zip(self.parts, sizes)))
-
-    def scaled(self, factor) -> "DirectSumSpec":
-        return DirectSumSpec(tuple(p.scaled(factor) for p in self.parts))
 
     def to_obj(self) -> dict:
         return {"variant": "direct_sum", "parts": [p.to_obj() for p in self.parts]}

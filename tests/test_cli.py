@@ -315,10 +315,13 @@ def test_converge_tower_probe_realizes_each_member_once(tmp_path, monkeypatch):
     monkeypatch.setattr(OperatorSpec, "realize", counting)
     path = write(tmp_path, "towerseq.json", TOWER_SEQ)
     assert run_main(["converge", path, "--probe", "lem1", "--window", "6,3,3"])[0] == 0
-    # members n = 1..6 are sums B + e1 e1^T / n; the trajectory and the probe
-    # share one realization per window size 6, 9, 12
-    assert calls.count(("SumSpec", 12)) == 6
-    assert calls.count(("BandedSpec", 12)) == 7
+    # members n = 1..6 are B + e1 e1^T / n, formed from one section of B and
+    # one of e1 e1^T per size: once for the trajectory (n = 12 only) and once
+    # for the probe (window 6, 9, 12)
+    assert calls.count(("SumSpec", 12)) == 0
+    assert calls.count(("BandedSpec", 12)) == 2
+    assert calls.count(("FiniteRankSpec", 12)) == 2
+    assert calls.count(("BandedSpec", 6)) == calls.count(("FiniteRankSpec", 6)) == 1
 
 
 def test_converge_inconclusive_probe_exit_code(tmp_path):

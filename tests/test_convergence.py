@@ -5,6 +5,7 @@ import pytest
 from ascdesc.convergence import (
     Perturbation,
     SequenceSpec,
+    _tower_members,
     classify_convergence,
     limsup_gamma,
     probe,
@@ -13,7 +14,16 @@ from ascdesc.convergence import (
 )
 from ascdesc.exact import Matrix, matrix_to_obj
 from ascdesc.gq import GQ
-from ascdesc.tower import FiniteRankSpec, TowerConfig, backward_shift
+from ascdesc.tower import (
+    BandedSpec,
+    DenseSpec,
+    DirectSumSpec,
+    EventuallyPeriodic,
+    FiniteRankSpec,
+    SumSpec,
+    TowerConfig,
+    backward_shift,
+)
 
 J2 = Matrix.from_rows([[0, 1], [0, 0]])
 I2 = Matrix.identity(2)
@@ -198,6 +208,60 @@ def test_probe_tower_requires_exact_point():
     )
     with pytest.raises(ValueError):
         probe(spec, "lem2", 0.5)
+
+
+# E scaled by f, written out by hand for each variant: T_n = T + n^-2 E
+# must have the sections of SumSpec((T, E scaled by 1/n^2))
+SCALED_PERTURBATIONS = {
+    "banded": lambda f: BandedSpec.from_dict(
+        {-1: EventuallyPeriodic(pre=(f * Fraction(3, 7),), period=(f, f * GQ(0, 2)))}
+    ),
+    "finite_rank": lambda f: FiniteRankSpec(
+        (((f, f * GQ(Fraction(1, 2), 1)), (GQ(1), GQ(0), GQ(3))),)
+    ),
+    "dense": lambda f: DenseSpec(
+        Matrix.from_rows([[f * Fraction(1, 3), f * GQ(0, 2)], [0, -f]])
+    ),
+    "direct_sum": lambda f: DirectSumSpec(
+        (
+            DenseSpec(Matrix.from_rows([[f * Fraction(1, 3), f * GQ(0, 2)], [0, -f]])),
+            BandedSpec.from_dict({-1: EventuallyPeriodic(pre=(f * 5,), period=(f,))}),
+        )
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", list(SCALED_PERTURBATIONS))
+def test_tower_members_match_the_scaled_sum_spec(variant):
+    base = BandedSpec.from_dict(
+        {
+            0: EventuallyPeriodic(pre=(GQ(Fraction(1, 2)),), period=(GQ(0, Fraction(1, 3)),)),
+            1: EventuallyPeriodic(period=(GQ(1),)),
+        }
+    )
+    scaled = SCALED_PERTURBATIONS[variant]
+    spec = SequenceSpec(base, Perturbation(exponent=2, direction=scaled(GQ(1))), (1, 5, 2))
+    sizes = (5, 8)
+    base_sections, members = _tower_members(spec, sizes)
+    assert base_sections == {k: base.realize(k) for k in sizes}
+    assert [n for n, _ in members] == [1, 3, 5]
+    for n, sections in members:
+        member = SumSpec((base, scaled(GQ(Fraction(1, n * n)))))
+        assert sections == {k: member.realize(k) for k in sizes}, n
+
+
+def test_tower_members_rejects_what_cannot_stay_exact():
+    finite_rank = FiniteRankSpec((((GQ(1),), (GQ(1),)),))
+    with pytest.raises(ValueError, match="operator-spec perturbation"):
+        _tower_members(SequenceSpec(backward_shift(), Perturbation(1, I2), (1, 3, 1)), (4,))
+    with pytest.raises(ValueError, match="integer exponent"):
+        _tower_members(
+            SequenceSpec(backward_shift(), Perturbation(1.5, finite_rank), (1, 3, 1)), (4,)
+        )
+    # a window below the base's minimum fails on the base first
+    long_pre = BandedSpec.from_dict({0: EventuallyPeriodic(pre=(GQ(1),) * 5)})
+    with pytest.raises(ValueError, match="truncation 2 below the minimum 5"):
+        _tower_members(SequenceSpec(long_pre, Perturbation(1, I2), (1, 3, 1)), (2, 6))
 
 
 def test_sequence_spec_validation():

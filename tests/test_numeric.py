@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ascdesc.exact import Matrix, Subspace, image_basis, subspace_sum
+from ascdesc.exact import Matrix, Subspace, image_basis, matrix_from_obj, subspace_sum
 from ascdesc.gq import GQ
 from ascdesc.numeric import (
     FloatSubspace,
@@ -129,6 +129,37 @@ def test_to_float_complex_entries():
     m = Matrix.from_rows([[GQ(0, 1)]])
     arr = matrix_to_array(m)
     assert arr.dtype == np.complex128 and arr[0, 0] == 1j
+
+
+def _array_from_entries(m):
+    """The float view of m built from its GaussianRational entries."""
+    if any(v.im for v in m.entries):
+        data = [v.to_complex() for v in m.entries]
+        return np.array(data, dtype=np.complex128).reshape(m.rows, m.cols)
+    return np.array([float(v.re) for v in m.entries], dtype=np.float64).reshape(m.rows, m.cols)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        matrix_from_obj({"rows": 2, "cols": 3, "entries": [
+            ["1/3", "-2/7", "0"], ["5", "0", "-1/1000000007"]]}),
+        matrix_from_obj({"rows": 3, "cols": 2, "entries": [
+            ["1/3+2/9i", "0"], ["0", "-7"], ["1/6i", "3/5"]]}),
+        Matrix.zeros(0, 3),
+        Matrix.zeros(2, 0),
+        Matrix.zeros(2, 2),
+        # numerators and denominator past 2^53: each entry is rounded once
+        Matrix.from_integer_rows(
+            2, 3 * 10**40 + 1, [{0: (10**41 + 7, 0), 1: (-(10**39) - 3, 10**18 + 1)}]
+        ),
+        Matrix.from_integer_rows(2, 10**300 + 1, [{0: (1, 0), 1: (-(10**300), 0)}]),
+    ],
+)
+def test_matrix_to_array_matches_the_entry_route(m):
+    arr, ref = matrix_to_array(m), _array_from_entries(m)
+    assert arr.dtype == ref.dtype and arr.shape == ref.shape
+    assert arr.tobytes() == ref.tobytes()
 
 
 def test_delta_zero_iff_containment_on_rational_subspaces():

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -196,6 +199,21 @@ def test_roots_colliding_modulo_small_primes_move_the_prime_on():
     assert _simple_roots_mod(h, [(2, 0), (-4391, 0)])[0] == 23
     t = jordan_similar([(GQ(1), 1), (GQ(4390), 2)], 4)
     assert eigenvalue_multiplicities(t) == (((GQ(1), 1), (GQ(4390), 2)), 0)
+
+
+def test_repeated_root_raises_instead_of_searching_primes_forever():
+    # (x - 1)^2 has no prime at which its root is simple; run in a child
+    # process so that an unbounded search fails by timeout, not a hang
+    code = (
+        "from ascdesc.spectra import _gaussian_integer_roots\n"
+        "_gaussian_integer_roots([(1, 0), (-2, 0), (1, 0)])\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.stderr.splitlines()[-1].startswith("RuntimeError: h has a repeated root")
 
 
 def test_eigenvalue_far_beyond_the_prime_is_lifted():

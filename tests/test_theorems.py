@@ -28,6 +28,7 @@ from ascdesc.tower import (
     BandedSpec,
     DenseSpec,
     DirectSumSpec,
+    EventuallyPeriodic,
     TowerConfig,
     backward_shift,
     forward_shift,
@@ -318,10 +319,16 @@ def test_tower_th1_equality():
     assert verdict.verdict == "pass", verdict.witness
 
 
+def _twice_backward_shift() -> BandedSpec:
+    """2B: twos on the first superdiagonal."""
+    return BandedSpec.from_dict({1: EventuallyPeriodic(period=(GQ(2),))})
+
+
 def test_tower_th1_shared_kernels():
     # B and 2B share every kernel N(B^p), so splitting fails only at 0
-    b = backward_shift()
-    verdict = verify_tower("th1", b, b.scaled(GQ(2)), [GQ(0), GQ(2)], CFG, p_bound=2)
+    verdict = verify_tower(
+        "th1", backward_shift(), _twice_backward_shift(), [GQ(0), GQ(2)], CFG, p_bound=2
+    )
     in_r = {row["lambda"]: row["in_R"] for row in verdict.witness["candidates"]}
     assert in_r == {"0": True, "2": False}
 
@@ -404,7 +411,7 @@ def test_verify_tower_forms_each_section_product_once(monkeypatch, theorem):
 # in how tower points are classified shows in the whole report
 TOWER_PAIRS = {
     "block": _block_fixture,
-    "B,2B": lambda: (backward_shift(), backward_shift().scaled(GQ(2))),
+    "B,2B": lambda: (backward_shift(), _twice_backward_shift()),
     "S,S": lambda: (forward_shift(), forward_shift()),
 }
 TOWER_SHA256 = {

@@ -250,12 +250,6 @@ def test_documented_backward_shift_json():
     assert spec.to_obj() == obj
 
 
-def test_scaled_specs():
-    half = parse_scalar("1/2")
-    scaled = backward_shift().scaled(half)
-    assert scaled.realize(3).at(0, 1) == half
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         TowerConfig(n0=0)
