@@ -3,8 +3,11 @@
 A matrix A is held as D, the least positive integer making D*A a
 Gaussian-integer matrix, and the sparse rows of D*A, which have the same
 kernel, image and rank.  Equal matrices hold identical integers, and
-products, sums, shifts and transposes work on them; ``Fraction``s are
-made only when entries or a subspace's ``basis`` are read.  One
+products, sums, shifts and transposes work on them.  JSON matrices are
+read and written as these rows too: each literal's integer parts go
+straight into the rows of D*A, and each entry is printed from its
+integers over D, so ``Fraction``s are made only when ``entries`` or a
+subspace's ``basis`` are read.  One
 elimination kernel serves ``rank``, ``rref``, kernels and images, keeping
 each pivot row as the unique representative of its line over Q(i):
 positive integer pivot, coprime components.  A subspace is held as the
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -38,8 +42,9 @@ from .gq import (
     as_gq,
     cleared,
     common_denominator,
+    format_parts,
     format_scalar,
-    parse_scalar,
+    parse_parts,
 )
 
 Entryish = GaussianRational | Fraction | int
@@ -81,7 +86,8 @@ class Matrix:
         component.
         """
         if den != 1:
-            g = gcd(den, *(v for row in int_rows for xy in row.values() for v in xy))
+            components = chain.from_iterable(chain.from_iterable(map(dict.values, int_rows)))
+            g = gcd(den, *components)
             if g != 1:
                 den //= g
                 int_rows = [{j: (x // g, y // g) for j, (x, y) in row.items()} for row in int_rows]
@@ -89,10 +95,15 @@ class Matrix:
         self._set(len(int_rows), cols, den, tuple(int_rows), None)
         return self
 
-    def _set(self, *values) -> None:
-        """Fill the slots in order; the hash is computed on first use."""
-        for name, value in zip(self.__slots__, (*values, None)):
-            object.__setattr__(self, name, value)
+    def _set(self, rows: int, cols: int, den: int, int_rows: tuple, entries) -> None:
+        """Fill the slots; the hash is computed on first use."""
+        setattr_ = object.__setattr__
+        setattr_(self, "rows", rows)
+        setattr_(self, "cols", cols)
+        setattr_(self, "den", den)
+        setattr_(self, "int_rows", int_rows)
+        setattr_(self, "_entries", entries)
+        setattr_(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -216,7 +227,19 @@ class Matrix:
         """A - lam*I for square A."""
         if not self.is_square:
             raise ValueError("shift requires a square matrix")
-        return self - Matrix.identity(self.rows).scale(lam)
+        lam = as_gq(lam)
+        den = lcm(self.den, common_denominator((lam,)))
+        a, b = cleared(lam, den)
+        rows = []
+        for i, row in enumerate(_rows_over(self, den)):
+            row = dict(row)
+            u, v = row.get(i, (0, 0))
+            if u - a or v - b:
+                row[i] = (u - a, v - b)
+            else:
+                row.pop(i, None)
+            rows.append(row)
+        return Matrix.from_integer_rows(self.cols, den, rows)
 
     def _check_same_shape(self, other: "Matrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -282,7 +305,7 @@ def _rref_matrix(rows: list[Row], n_rows: int, cols: int) -> Matrix:
 
 def _primitive(row: Row) -> Row:
     """row divided by the gcd of its integer components."""
-    g = gcd(*(v for xy in row.values() for v in xy))
+    g = gcd(*chain.from_iterable(row.values()))
     if g != 1:
         row = {j: (x // g, y // g) for j, (x, y) in row.items()}
     return row
@@ -302,7 +325,7 @@ def _reduce(row: Row, pivot_row: Row, col: int) -> Row:
     """P*row - row[col]*pivot_row, which is zero at col; P = pivot_row[col] > 0."""
     p = pivot_row[col][0]
     a, b = row[col]
-    out = {j: (p * x, p * y) for j, (x, y) in row.items()}
+    out = dict(row) if p == 1 else {j: (p * x, p * y) for j, (x, y) in row.items()}
     for j, (x, y) in pivot_row.items():
         u, v = out.get(j, (0, 0))
         u -= a * x - b * y
@@ -425,18 +448,6 @@ class Subspace:
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
-
-    @classmethod
-    def from_spanning_rows(
-        cls, ambient_dim: int, rows: Iterable[Sequence[Entryish]]
-    ) -> "Subspace":
-        row_list = [list(r) for r in rows]
-        if not row_list:
-            return cls.zero(ambient_dim)
-        span = Matrix.from_rows(row_list)
-        if span.cols != ambient_dim:
-            raise ValueError("spanning rows must have the ambient dimension")
-        return cls._from_rows(ambient_dim, tuple(_rref_rows(span)))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -657,14 +668,23 @@ def invert(a: Matrix) -> Matrix:
 
 
 def matrix_to_obj(a: Matrix) -> dict:
+    """The JSON object of A, each entry printed from its integers over D."""
+    den = a.den
     return {
         "rows": a.rows,
         "cols": a.cols,
         "field": "gq",
         "entries": [
-            [format_scalar(v) for v in a.row(i)] for i in range(a.rows)
+            [_entry_text(*row[j], den) if j in row else "0" for j in range(a.cols)]
+            for row in a.int_rows
         ],
     }
+
+
+def _entry_text(x: int, y: int, den: int) -> str:
+    """The literal of (x + y i) / den."""
+    g, h = gcd(x, den), gcd(y, den)
+    return format_parts(x // g, den // g, y // h, den // h)
 
 
 def json_integer(value, what: str) -> int:
@@ -700,8 +720,15 @@ def matrix_from_obj(obj: dict) -> Matrix:
         raise ValueError(f"expected field 'gq', got {field!r}")
     if len(raw) != rows or any(len(json_array(r, "entries row")) != cols for r in raw):
         raise ValueError("entry grid does not match rows x cols")
-    flat = [parse_scalar(str(v)) for row in raw for v in row]
-    return Matrix(rows, cols, flat)
+    if cols < 0:  # only a 0 x cols grid gets here with cols < 0
+        raise ValueError("matrix dimensions must be nonnegative")
+    parts = [[parse_parts(str(v)) for v in row] for row in raw]
+    den = lcm(*{d for row in parts for (_, q, _, s) in row for d in (q, s)})
+    int_rows = [
+        {j: (p * (den // q), r * (den // s)) for j, (p, q, r, s) in enumerate(row) if p or r}
+        for row in parts
+    ]
+    return Matrix.from_integer_rows(cols, den, int_rows)
 
 
 @lru_cache(maxsize=128)

@@ -1,10 +1,21 @@
-"""Exact complex-rational scalars (Gaussian rationals)."""
+"""Exact complex-rational scalars (Gaussian rationals) and their text form.
+
+One literal grammar serves every exact input: :func:`parse_parts` reads
+a literal into integer parts in lowest terms, (re_num, re_den, im_num,
+im_den), and :func:`format_parts` writes such parts back as canonical
+text.  Exact matrices are read and written through these two as
+Gaussian-integer rows (:func:`ascdesc.exact.matrix_from_obj`,
+:func:`ascdesc.exact.matrix_to_obj`), with no scalar object per entry.
+``GaussianRational`` is the scalar for single values: eigenvalues,
+shifts, candidate points and tower weights; :func:`parse_scalar` and
+:func:`format_scalar` wrap the two for it.
+"""
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Union
 
 Scalarish = Union[int, Fraction, "GaussianRational"]
@@ -139,24 +150,22 @@ def cleared(value: GaussianRational, den: int) -> tuple[int, int]:
     return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)
 
 
-def parse_scalar(text: str) -> GaussianRational:
-    """Parse ``<rat>``, ``<rat>i`` or ``<rat>(+|-)<rat>i`` into a scalar.
+def parse_parts(text: str) -> tuple[int, int, int, int]:
+    """Parse ``<rat>``, ``<rat>i`` or ``<rat>(+|-)<rat>i`` into integer parts.
 
-    ``<rat>`` is an optionally signed integer or ``p/q`` with q > 0.
-    The bare forms ``i``, ``+i`` and ``-i`` are accepted for unit
-    imaginary parts.
+    Returns ``(re_num, re_den, im_num, im_den)``, each part in lowest
+    terms with a positive denominator.  ``<rat>`` is an optionally signed
+    integer or ``p/q`` with q > 0.  The bare forms ``i``, ``+i`` and
+    ``-i`` are accepted for unit imaginary parts.
     """
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty scalar literal")
     if not s.endswith("i"):
-        return GaussianRational(_parse_rat(s))
+        return (*_parse_rat(s), 0, 1)
     body = s[:-1]
     # any sign past position 0 separates the real part from the imaginary one
-    split = -1
-    for idx in range(1, len(body)):
-        if body[idx] in "+-":
-            split = idx
+    split = max(body.rfind("+", 1), body.rfind("-", 1))
     if split == -1:
         re_part, im_part = "0", body
     else:
@@ -165,28 +174,50 @@ def parse_scalar(text: str) -> GaussianRational:
         im_part = "1"
     elif im_part == "-":
         im_part = "-1"
-    return GaussianRational(_parse_rat(re_part), _parse_rat(im_part))
+    return (*_parse_rat(re_part), *_parse_rat(im_part))
+
+
+def parse_scalar(text: str) -> GaussianRational:
+    """The scalar that :func:`parse_parts` reads from ``text``."""
+    re_num, re_den, im_num, im_den = parse_parts(text)
+    return GaussianRational(Fraction(re_num, re_den), Fraction(im_num, im_den))
 
 
 _RAT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-def _parse_rat(text: str) -> Fraction:
-    """``[+-]?[0-9]+(/[0-9]+)?`` with ASCII digits only, as a Fraction."""
+def _parse_rat(text: str) -> tuple[int, int]:
+    """``[+-]?[0-9]+(/[0-9]+)?`` with ASCII digits only, as (num, den) in lowest terms."""
     if not _RAT.fullmatch(text):
         raise ValueError(f"not a rational literal: {text!r}")
     num, _, den = text.partition("/")
-    if den and int(den) == 0:
+    if not den:
+        return int(num), 1
+    n, d = int(num), int(den)
+    if d == 0:
         raise ValueError(f"zero denominator: {text!r}")
-    return Fraction(int(num), int(den or 1))
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def format_parts(re_num: int, re_den: int, im_num: int, im_den: int) -> str:
+    """Canonical text of re_num/re_den + (im_num/im_den)i; round-trips through parse_parts.
+
+    Each part must be in lowest terms with a positive denominator.
+    """
+    if not im_num:
+        return _rat_text(re_num, re_den)
+    imag = f"{_rat_text(abs(im_num), im_den)}i"
+    if not re_num:
+        return imag if im_num > 0 else f"-{imag}"
+    sign = "+" if im_num > 0 else "-"
+    return f"{_rat_text(re_num, re_den)}{sign}{imag}"
+
+
+def _rat_text(num: int, den: int) -> str:
+    return f"{num}/{den}" if den != 1 else str(num)
 
 
 def format_scalar(value: GaussianRational) -> str:
     """Canonical text form; round-trips through parse_scalar."""
-    if value.im == 0:
-        return str(value.re)
-    imag = f"{abs(value.im)}i"
-    if value.re == 0:
-        return imag if value.im > 0 else f"-{imag}"
-    sign = "+" if value.im > 0 else "-"
-    return f"{value.re}{sign}{imag}"
+    return format_parts(value.re_num, value.re_den, value.im_num, value.im_den)

@@ -19,8 +19,8 @@ from functools import lru_cache
 from itertools import product
 
 from .chains import chain_report
-from .exact import Matrix, char_poly
-from .gq import GQ, GaussianRational, cleared, format_scalar
+from .exact import Matrix, _berkowitz
+from .gq import GQ, GaussianRational, format_scalar
 
 CERT_FINITE_DIM = "finite-dim-stabilization"
 
@@ -280,7 +280,8 @@ def eigenvalue_multiplicities(t: Matrix) -> tuple[tuple[tuple[GaussianRational, 
     """Roots of char(T) in Q(i) with multiplicities, plus residual degree.
 
     With D the common denominator of T, the roots of char(T) are those of
-    the monic chi = char(D*T) in Z[i][x] divided by D, and a root of chi
+    the monic chi = char(D*T) in Z[i][x] divided by D; chi comes straight
+    from the Berkowitz recurrence on T's integer rows.  A root of chi
     in Q(i) lies in Z[i], because Z[i] is integrally closed.  The root 0
     is read off the powers of x that chi has.  The others are roots of
     the square-free part h of the rest, found by p-adic lifting from a
@@ -289,11 +290,10 @@ def eigenvalue_multiplicities(t: Matrix) -> tuple[tuple[tuple[GaussianRational, 
     exact synthetic division of chi.  The residual degree counts the
     part that does not split (0 means the polynomial splits completely).
     """
-    coeffs = char_poly(t)
     n, den = t.rows, t.den
     if n == 0:
         return (), 0
-    poly = [cleared(c, den ** (n - k)) for k, c in enumerate(coeffs)][::-1]
+    poly = _berkowitz(n, t.int_rows)
     roots: list[tuple[GI, int]] = []
     while poly[-1] == (0, 0):
         poly.pop()

@@ -279,55 +279,62 @@ class TheoremVerdict:
 # seeded instance generators
 
 
-_SMALL_NONZERO = (
-    GQ(1),
-    GQ(-1),
-    GQ(2),
-    GQ(-2),
-    GQ(0, 1),
-    GQ(1, 1),
-    GQ(0, -1),
-)
+# The generators fill the sparse Gaussian-integer rows (``exact.Row``) of
+# their matrices directly; each draws from ``rng`` in a fixed order, so a
+# seed always gives the same instance.
+
+_SMALL_NONZERO = ((1, 0), (-1, 0), (2, 0), (-2, 0), (0, 1), (1, 1), (0, -1))
+
+
+def _put(row: dict, col: int, value: tuple[int, int]) -> None:
+    """Store a nonzero Gaussian integer in a sparse row; a zero leaves it unset."""
+    if value != (0, 0):
+        row[col] = value
 
 
 def random_matrix(seed: int, dim: int) -> Matrix:
     """Entries with real part in -2..2 and imaginary part in -1..1."""
     rng = random.Random(f"matrix:{seed}")
-    return _random_matrix_from(rng, dim)
+    return _random_gaussian(rng, dim, dim, 2)
 
 
-def _random_matrix_from(rng: random.Random, dim: int) -> Matrix:
-    return Matrix(
-        dim,
-        dim,
-        [GQ(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(dim * dim)],
-    )
+def _random_gaussian(rng: random.Random, rows: int, cols: int, re_bound: int) -> Matrix:
+    """Entries a + bi with a in -re_bound..re_bound and b in -1..1, a drawn first."""
+    out = []
+    for _ in range(rows):
+        row: dict = {}
+        for j in range(cols):
+            _put(row, j, (rng.randint(-re_bound, re_bound), rng.randint(-1, 1)))
+        out.append(row)
+    return Matrix.from_integer_rows(cols, 1, out)
 
 
 def _random_unimodular(rng: random.Random, d: int) -> Matrix:
-    lower = Matrix.identity(d).to_lists()
-    upper = Matrix.identity(d).to_lists()
+    lower = [{i: (1, 0)} for i in range(d)]
+    upper = [{i: (1, 0)} for i in range(d)]
     for i in range(d):
         for j in range(i):
-            lower[i][j] = GQ(rng.randint(-1, 1))
-            upper[j][i] = GQ(rng.randint(-1, 1))
-    return Matrix.from_rows(lower) @ Matrix.from_rows(upper)
+            _put(lower[i], j, (rng.randint(-1, 1), 0))
+            _put(upper[j], i, (rng.randint(-1, 1), 0))
+    return Matrix.from_integer_rows(d, 1, lower) @ Matrix.from_integer_rows(d, 1, upper)
 
 
 def _random_nilpotent(rng: random.Random, j: int) -> Matrix:
-    rows = Matrix.zeros(j, j).to_lists()
+    rows = [{} for _ in range(j)]
     for i in range(j - 1):
-        rows[i][i + 1] = rng.choice((GQ(1), GQ(-1), GQ(2)))
+        rows[i][i + 1] = rng.choice(((1, 0), (-1, 0), (2, 0)))
         for k in range(i + 2, j):
-            rows[i][k] = GQ(rng.randint(-1, 1))
-    return Matrix.from_rows(rows) if j else Matrix.zeros(0, 0)
+            _put(rows[i], k, (rng.randint(-1, 1), 0))
+    return Matrix.from_integer_rows(j, 1, rows)
 
 
 def _structured_block(rng: random.Random, d: int) -> Matrix:
     """Similarity-conjugated nilpotent-plus-invertible block of size d."""
     j = rng.randint(0, d)
     nil = _random_nilpotent(rng, j)
-    diag = Matrix.diag([rng.choice(_SMALL_NONZERO) for _ in range(d - j)])
+    diag = Matrix.from_integer_rows(
+        d - j, 1, [{i: rng.choice(_SMALL_NONZERO)} for i in range(d - j)]
+    )
     core = block_diag(nil, diag)
     v = _random_unimodular(rng, d)
     return v @ core @ invert(v)
@@ -379,17 +386,22 @@ def invertible_commuting_pair(seed: int) -> tuple[Matrix, Matrix]:
 
 
 def _upper_triangular(rng: random.Random, d: int) -> Matrix:
-    rows = Matrix.zeros(d, d).to_lists()
-    pool = (GQ(0), GQ(1), GQ(2), GQ(-1), GQ(0, 1))
+    rows = [{} for _ in range(d)]
+    pool = ((0, 0), (1, 0), (2, 0), (-1, 0), (0, 1))
     for i in range(d):
-        rows[i][i] = rng.choice(pool)
+        _put(rows[i], i, rng.choice(pool))
         for j in range(i + 1, d):
-            rows[i][j] = GQ(rng.randint(-1, 1))
-    return Matrix.from_rows(rows)
+            _put(rows[i], j, (rng.randint(-1, 1), 0))
+    return Matrix.from_integer_rows(d, 1, rows)
 
 
 def instance_for(theorem: str, seed: int) -> dict:
     """Deterministic replayable instance for one theorem check."""
+    return _generated(theorem, seed)[0]
+
+
+def _generated(theorem: str, seed: int) -> tuple[dict, dict[str, Matrix]]:
+    """instance_for's instance together with the matrices it was written from."""
     if theorem not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {theorem!r}")
     rng = random.Random(f"{theorem}:{seed}")
@@ -428,20 +440,23 @@ def instance_for(theorem: str, seed: int) -> dict:
         d2 = rng.randint(1, 3)
         t = _upper_triangular(rng, d1)
         s = _upper_triangular(rng, d2)
-        c = Matrix(d1, d2, [GQ(rng.randint(-1, 1), rng.randint(-1, 1)) for _ in range(d1 * d2)])
-        inst = _instance(theorem, seed, "block_triangular", T=t, S=s, C=c)
+        c = _random_gaussian(rng, d1, d2, 1)
+        inst, mats = _instance(theorem, seed, "block_triangular", T=t, S=s, C=c)
         inst["params"] = {"ks": [2, 3, 10]}
-        return inst
+        return inst, mats
     raise AssertionError(theorem)
 
 
-def _instance(theorem: str, seed: int | None, generator: str, **matrices: Matrix) -> dict:
-    return {
+def _instance(
+    theorem: str, seed: int | None, generator: str, **matrices: Matrix
+) -> tuple[dict, dict[str, Matrix]]:
+    instance = {
         "theorem": theorem,
         "seed": seed,
         "generator": generator,
         "matrices": {name: matrix_to_obj(m) for name, m in sorted(matrices.items())},
     }
+    return instance, matrices
 
 
 def _instance_matrices(instance: dict) -> dict[str, Matrix]:
@@ -464,7 +479,11 @@ def verify(theorem: str, instance: dict) -> TheoremVerdict:
     """Check one theorem on one instance; hypotheses gate the verdict."""
     if theorem not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {theorem!r}")
-    mats = _instance_matrices(instance)
+    return _verdict(theorem, _instance_matrices(instance), instance)
+
+
+def _verdict(theorem: str, mats: dict[str, Matrix], instance: dict) -> TheoremVerdict:
+    """The handler's findings on mats, which the instance records, as a verdict."""
     try:
         verdict, witness, note = _HANDLERS[theorem](mats, instance)
     except KeyError as exc:
@@ -724,8 +743,17 @@ _HANDLERS = {
 
 
 def run_batch(theorem: str, seed: int, trials: int) -> list[TheoremVerdict]:
-    """Seeded batch of checks, reported in seed order."""
-    return [verify(theorem, instance_for(theorem, s)) for s in range(seed, seed + trials)]
+    """Seeded batch of checks, reported in seed order.
+
+    Each verdict equals verify(theorem, instance_for(theorem, s)); the
+    handler gets the generated matrices, which are what parsing the
+    instance would give back, since matrices are canonical.
+    """
+    verdicts = []
+    for s in range(seed, seed + trials):
+        instance, mats = _generated(theorem, s)
+        verdicts.append(_verdict(theorem, mats, instance))
+    return verdicts
 
 
 def batch_summary(verdicts: list[TheoremVerdict]) -> dict:

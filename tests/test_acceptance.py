@@ -247,7 +247,7 @@ def test_criterion_9_gap_and_gamma_numerics():
 
     import random
 
-    from ascdesc.exact import Subspace
+    from ascdesc.exact import integer_span
 
     rng = random.Random("acceptance-9")
     contained_seen = separated_seen = 0
@@ -262,8 +262,9 @@ def test_criterion_9_gap_and_gamma_numerics():
             [GQ(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(dim)]
             for _ in range(rng.randint(1, dim - 1))
         ]
-        y_exact = Subspace.from_spanning_rows(dim, y_rows)
-        z_exact = Subspace.from_spanning_rows(dim, z_rows)
+        y_m, z_m = Matrix.from_rows(y_rows), Matrix.from_rows(z_rows)
+        y_exact = integer_span(y_m.cols, y_m.int_rows)
+        z_exact = integer_span(z_m.cols, z_m.int_rows)
         if seed % 2 == 0:
             z_exact = subspace_sum(z_exact, y_exact)  # force containment
         contained = subspace_sum(y_exact, z_exact).dim == z_exact.dim

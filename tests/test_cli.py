@@ -379,6 +379,27 @@ def assert_one_error_line(result, cause):
     assert cause in lines[0]
 
 
+# each malformed literal gives the message the scalar grammar raises, as
+# the whole error line; a later bad literal never masks an earlier one
+@pytest.mark.parametrize(
+    "literal,message",
+    [
+        ("1/0", "zero denominator: '1/0'"),
+        ("1/", "not a rational literal: '1/'"),
+        ("1.5", "not a rational literal: '1.5'"),
+        ("\u0661", "not a rational literal: '\u0661'"),
+        ("1/\u0662", "not a rational literal: '1/\u0662'"),
+        ("", "empty scalar literal"),
+        ("2-1/0i", "zero denominator: '-1/0'"),
+        ("1+2+3i", "not a rational literal: '1+2'"),
+    ],
+)
+def test_malformed_literal_is_one_error_line(tmp_path, literal, message):
+    obj = {"rows": 2, "cols": 2, "field": "gq", "entries": [["1", literal], ["x", "1/0"]]}
+    code, out, err = run_main(["analyze", write(tmp_path, "m.json", obj)])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "window", ["4,2,2_0", "\u0664,2,2", " 4,2,2", "+4,2,2", "-4,2,2", "4,2,2 ", "4,2", "4,,2"]
 )

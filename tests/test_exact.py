@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ascdesc.exact import (
@@ -14,6 +14,7 @@ from ascdesc.exact import (
     echelon,
     hstack,
     image_basis,
+    integer_span,
     invert,
     is_direct_sum,
     kernel_basis,
@@ -32,7 +33,7 @@ from ascdesc.exact import (
     vstack,
 )
 from ascdesc.chains import chain_report
-from ascdesc.gq import GQ
+from ascdesc.gq import GQ, format_scalar, parse_scalar
 
 from oracles import gi_matmul, oracle_rank, to_gaussian_int
 
@@ -233,7 +234,8 @@ def test_rank_nullity(rows, cols, seed):
 
 
 def span(ambient, *rows):
-    return Subspace.from_spanning_rows(ambient, rows)
+    m = Matrix(len(rows), ambient, [v for row in rows for v in row])
+    return integer_span(m.cols, m.int_rows)
 
 
 def test_sum_examples():
@@ -303,8 +305,8 @@ def _spanning_pairs(draw):
 def test_sum_and_intersection_agree_with_oracle(pair):
     a, b = pair
     n = a.cols
-    y = Subspace.from_spanning_rows(n, a.to_lists())
-    z = Subspace.from_spanning_rows(n, b.to_lists())
+    y = integer_span(a.cols, a.int_rows)
+    z = integer_span(b.cols, b.int_rows)
     assert (y.dim, z.dim) == (oracle_rank(a), oracle_rank(b))
     r = oracle_rank(vstack(a, b))
     total, meet = subspace_sum(y, z), subspace_intersection(y, z)
@@ -338,8 +340,10 @@ def test_canonical_equality_matches_containment_500_pairs():
             [GQ(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(dim)]
             for _ in range(rng.randint(0, dim))
         ]
-        y = Subspace.from_spanning_rows(dim, rows_y)
-        z = Subspace.from_spanning_rows(dim, rows_z)
+        m_y = Matrix(len(rows_y), dim, [v for row in rows_y for v in row])
+        m_z = Matrix(len(rows_z), dim, [v for row in rows_z for v in row])
+        y = integer_span(m_y.cols, m_y.int_rows)
+        z = integer_span(m_z.cols, m_z.int_rows)
         assert (y == z) == (y.contains(z) and z.contains(y))
 
 
@@ -609,3 +613,112 @@ def test_matrix_json_rejects_bad_shapes():
         matrix_from_obj({"rows": 2, "cols": 2, "field": "gq", "entries": [["1"]]})
     with pytest.raises(ValueError):
         matrix_from_obj({"rows": 1, "cols": 1, "field": "f64", "entries": [[1.0]]})
+
+
+# --- the literal path ----------------------------------------------------
+
+
+def _matrix_by_scalars(obj):
+    """matrix_from_obj through one parsed GaussianRational per literal."""
+    flat = [parse_scalar(str(v)) for row in obj["entries"] for v in row]
+    return Matrix(obj["rows"], obj["cols"], flat)
+
+
+def _obj_by_scalars(m):
+    """matrix_to_obj through one formatted GaussianRational per entry."""
+    return {
+        "rows": m.rows,
+        "cols": m.cols,
+        "field": "gq",
+        "entries": [[format_scalar(v) for v in m.row(i)] for i in range(m.rows)],
+    }
+
+
+_FIXED_LITERALS = ("2/4", "-0/7", "+3", "i", "-i", "+i", "3-i", "1/2+3/4i", "0", "-0", " 5 / 10 ")
+_BIG = 10**40
+
+
+@st.composite
+def _rat_text(draw, signed):
+    """A rational literal, often not in lowest terms, with an optional sign."""
+    num = draw(st.integers(-12, 12) | st.integers(-_BIG, _BIG))
+    den = draw(st.integers(1, 12) | st.integers(1, _BIG))
+    k = draw(st.sampled_from([1, 1, 2, 6]))
+    body = f"{abs(num) * k}"
+    if den * k != 1 or draw(st.booleans()):
+        body += f"/{den * k}"
+    sign = "-" if num < 0 else draw(st.sampled_from(["+"] if signed else ["", "+"]))
+    return sign + body
+
+
+@st.composite
+def _literals(draw):
+    kind = draw(st.sampled_from(["fixed", "int", "real", "imag", "unit", "full"]))
+    if kind == "fixed":
+        return draw(st.sampled_from(_FIXED_LITERALS))
+    if kind == "int":
+        return draw(st.integers(-_BIG, _BIG))  # a JSON number, read through str()
+    if kind == "real":
+        return draw(_rat_text(False))
+    if kind == "imag":
+        return draw(_rat_text(False)) + "i"
+    if kind == "unit":
+        return draw(_rat_text(False) | st.just("")) + draw(st.sampled_from(["+i", "-i"]))
+    return draw(_rat_text(False)) + draw(_rat_text(True)) + "i"
+
+
+@st.composite
+def _literal_objects(draw):
+    rows = draw(st.integers(0, 4))
+    cols = draw(st.integers(0, 4))
+    zero = st.sampled_from(["0", "-0/7", "+0", "0/3+0i", 0])
+    entry = draw(st.sampled_from([_literals(), zero | _literals()]))
+    entries = [
+        draw(st.lists(zero if draw(st.booleans()) and rows > 1 else entry,
+                      min_size=cols, max_size=cols))
+        for _ in range(rows)
+    ]
+    return {"rows": rows, "cols": cols, "field": "gq", "entries": entries}
+
+
+_EDGE_OBJECTS = [
+    {"rows": 0, "cols": 0, "entries": []},
+    {"rows": 0, "cols": 3, "entries": []},
+    {"rows": 2, "cols": 0, "entries": [[], []]},
+    {"rows": 2, "cols": 2, "entries": [["0", "-0/7"], ["0/5+0i", 0]]},
+    {"rows": 2, "cols": 3, "entries": [["0", "0", "0"], ["2/4", "-i", f"1/{_BIG}+3/{_BIG * 7}i"]]},
+    {"rows": 1, "cols": 7, "entries": [list(_FIXED_LITERALS[:7])]},
+]
+
+
+@pytest.mark.parametrize("obj", _EDGE_OBJECTS)
+def test_literal_path_edge_cases(obj):
+    got = matrix_from_obj(obj)
+    assert got == _matrix_by_scalars(obj)
+    assert (got.rows, got.cols) == (obj["rows"], obj["cols"])
+    assert matrix_to_obj(got) == _obj_by_scalars(got)
+
+
+@given(_literal_objects())
+@settings(max_examples=300, deadline=None)
+def test_literal_path_matches_the_scalar_route(obj):
+    got = matrix_from_obj(obj)
+    want = _matrix_by_scalars(obj)
+    assert got == want  # the same D and the same integer rows
+    assert matrix_to_obj(got) == _obj_by_scalars(want)
+
+
+_scales = st.builds(
+    GQ,
+    st.fractions(min_value=-5, max_value=5, max_denominator=10**15),
+    st.fractions(min_value=-5, max_value=5, max_denominator=36).filter(bool),
+)
+
+
+@given(gq_matrices(max_dim=5), _scales)
+@settings(max_examples=100, deadline=None)
+def test_matrix_to_obj_matches_the_scalar_route(m, scale):
+    m = m.scale(scale)
+    assume(m.den > 1)
+    assert matrix_to_obj(m) == _obj_by_scalars(m)
+    assert matrix_from_obj(matrix_to_obj(m)) == m

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ascdesc.gq import GQ, format_scalar, parse_scalar
+from ascdesc.gq import GQ, format_parts, format_scalar, parse_parts, parse_scalar
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -32,6 +32,26 @@ scalars = st.builds(GQ, rationals, rationals)
 def test_parse_scalar(text, re, im):
     v = parse_scalar(text)
     assert v.re == Fraction(re) and v.im == Fraction(im)
+
+
+@pytest.mark.parametrize(
+    "text,parts",
+    [
+        ("2/4", (1, 2, 0, 1)),
+        ("-0/7", (0, 1, 0, 1)),
+        ("+3", (3, 1, 0, 1)),
+        ("6/4-10/15i", (3, 2, -2, 3)),
+        ("-i", (0, 1, -1, 1)),
+        ("+12/-", None),
+    ],
+)
+def test_parse_parts_in_lowest_terms(text, parts):
+    if parts is None:
+        with pytest.raises(ValueError):
+            parse_parts(text)
+    else:
+        assert parse_parts(text) == parts
+        assert format_parts(*parts) == format_scalar(parse_scalar(text))
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ascdesc.exact import Matrix, Subspace, image_basis, matrix_from_obj, subspace_sum
+from ascdesc.exact import (
+    Matrix,
+    Subspace,
+    image_basis,
+    integer_span,
+    matrix_from_obj,
+    subspace_sum,
+)
 from ascdesc.gq import GQ
 from ascdesc.numeric import (
     FloatSubspace,
@@ -118,7 +125,8 @@ def test_gap_equals_projector_norm_for_equal_dims():
 def test_to_float_examples():
     ident = matrix_to_array(Matrix.identity(2))
     assert np.allclose(ident, np.eye(2))
-    diag = Subspace.from_spanning_rows(2, [[1, 1]])
+    m = Matrix.from_rows([[1, 1]])
+    diag = integer_span(m.cols, m.int_rows)
     q = subspace_to_float(diag)
     assert q.dim == 1
     assert np.allclose(np.abs(q.ortho_basis.ravel()), [1 / math.sqrt(2)] * 2)

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from dataclasses import replace
 
 import pytest
@@ -260,6 +261,83 @@ BATCH_SHA256 = {
 def test_batch_reports_match_pinned_digests(theorem):
     text = dumps(run_batch(theorem, 0, 15))
     assert hashlib.sha256(text.encode()).hexdigest() == BATCH_SHA256[theorem]
+
+
+@pytest.mark.parametrize("theorem", THEOREM_IDS)
+def test_batch_matches_verify_on_the_replayed_instances(theorem):
+    # run_batch hands the generated matrices to the handler; verify parses
+    # them back from the instance, which must give the same reports
+    replayed = [verify(theorem, instance_for(theorem, s)) for s in range(15)]
+    assert dumps(run_batch(theorem, 0, 15)) == dumps(replayed)
+
+
+# The generators as they were written before they filled integer rows:
+# one GaussianRational per entry, drawn in the same order.
+
+
+def _ref_random_unimodular(rng, d):
+    lower = Matrix.identity(d).to_lists()
+    upper = Matrix.identity(d).to_lists()
+    for i in range(d):
+        for j in range(i):
+            lower[i][j] = GQ(rng.randint(-1, 1))
+            upper[j][i] = GQ(rng.randint(-1, 1))
+    return Matrix.from_rows(lower) @ Matrix.from_rows(upper)
+
+
+def _ref_random_nilpotent(rng, j):
+    rows = Matrix.zeros(j, j).to_lists()
+    for i in range(j - 1):
+        rows[i][i + 1] = rng.choice((GQ(1), GQ(-1), GQ(2)))
+        for k in range(i + 2, j):
+            rows[i][k] = GQ(rng.randint(-1, 1))
+    return Matrix.from_rows(rows) if j else Matrix.zeros(0, 0)
+
+
+def _ref_upper_triangular(rng, d):
+    rows = Matrix.zeros(d, d).to_lists()
+    pool = (GQ(0), GQ(1), GQ(2), GQ(-1), GQ(0, 1))
+    for i in range(d):
+        rows[i][i] = rng.choice(pool)
+        for j in range(i + 1, d):
+            rows[i][j] = GQ(rng.randint(-1, 1))
+    return Matrix.from_rows(rows)
+
+
+def _ref_random_gaussian(rng, rows, cols, re_bound):
+    values = [GQ(rng.randint(-re_bound, re_bound), rng.randint(-1, 1)) for _ in range(rows * cols)]
+    return Matrix(rows, cols, values)
+
+
+def _ref_structured_block(rng, d):
+    j = rng.randint(0, d)
+    nil = _ref_random_nilpotent(rng, j)
+    small = (GQ(1), GQ(-1), GQ(2), GQ(-2), GQ(0, 1), GQ(1, 1), GQ(0, -1))
+    diag = Matrix.diag([rng.choice(small) for _ in range(d - j)])
+    core = block_diag(nil, diag)
+    v = _ref_random_unimodular(rng, d)
+    return v @ core @ theorems.invert(v)
+
+
+@pytest.mark.parametrize(
+    "name,args",
+    [
+        ("_random_unimodular", ()),
+        ("_random_nilpotent", ()),
+        ("_upper_triangular", ()),
+        ("_structured_block", ()),
+        ("_random_gaussian", (3, 2)),
+        ("_random_gaussian", (2, 1)),
+    ],
+)
+def test_integer_row_generators_match_the_scalar_generators(name, args):
+    reference = globals()[f"_ref{name}"]
+    for seed in range(40):
+        for d in range(6):
+            mine, theirs = random.Random(f"gen:{seed}"), random.Random(f"gen:{seed}")
+            got = getattr(theorems, name)(mine, d, *args)
+            assert got == reference(theirs, d, *args), (name, seed, d)
+            assert mine.getstate() == theirs.getstate()  # the same draws, in order
 
 
 def test_thC_forms_each_product_once(monkeypatch):
