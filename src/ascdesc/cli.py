@@ -29,7 +29,7 @@ from .numeric import (
     subspace_to_float,
 )
 from .reporting import dumps, envelope
-from .spectra import ascent_spectrum
+from .spectra import ProfilePoint, ascent_spectrum, point_profile
 from .tower import TowerConfig, spec_from_obj, tower_spectrum
 from .theorems import THEOREM_IDS, batch_summary, run_batch
 from .chains import chain_report
@@ -174,21 +174,10 @@ def _cmd_spectrum(args, argv) -> int:
         report = profile.to_obj()
         report["mode"] = "dense"
         if args.candidates:
-            extra = []
-            from .spectra import point_profile
-
-            for lam in _parse_candidates(args.candidates):
-                asc, dsc, alpha, beta = point_profile(matrix, lam)
-                extra.append(
-                    {
-                        "lambda": str(lam),
-                        "asc": asc,
-                        "dsc": dsc,
-                        "alpha": alpha,
-                        "beta": beta,
-                    }
-                )
-            report["candidate_profiles"] = extra
+            report["candidate_profiles"] = [
+                ProfilePoint(lam, *point_profile(matrix, lam)).to_obj()
+                for lam in _parse_candidates(args.candidates)
+            ]
     _emit(args, dumps(envelope(_echo(argv), report)))
     return EXIT_OK
 

@@ -448,9 +448,12 @@ def _probe_dense(spec, proposition, lam, tol: Tolerance, traj):
     shift = lam_gq.to_complex() if lam_gq is not None else complex(lam)
     # one realization serves both views: the hypotheses are stated for
     # the unshifted sequence, the proofs apply the lemmas to the shifted
-    # one, and at lambda = 0 the two coincide
-    limit, realized = _sample_matrices(spec)
-    rows, cols = limit.shape
+    # one, and at lambda = 0 the two coincide; a given traj already went
+    # through the realization's checks, so it is realized only when used
+    if traj is None or shift:
+        limit, realized = _sample_matrices(spec)
+    base = spec.base
+    rows, cols = (base.rows, base.cols) if isinstance(base, Matrix) else np.shape(base)
     if rows != cols:
         raise ValueError(f"dense probes need a square base matrix, got {rows}x{cols}")
     if traj is None:

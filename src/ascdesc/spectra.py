@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 from .chains import chain_report
@@ -275,7 +274,6 @@ def _deflate(poly: list[GI], root: GI) -> list[GI] | None:
     return None if out.pop() != (0, 0) else out
 
 
-@lru_cache(maxsize=512)
 def eigenvalue_multiplicities(t: Matrix) -> tuple[tuple[tuple[GaussianRational, int], ...], int]:
     """Roots of char(T) in Q(i) with multiplicities, plus residual degree.
 

@@ -22,7 +22,7 @@ Each statement's handler returns its findings (verdict, witness, note);
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .chains import (
@@ -87,14 +87,13 @@ THEOREM_IDS = (
 class HypothesisReport:
     """Evaluation of the kernel-splitting and range-inclusion hypotheses.
 
-    ``h1`` records whether N((TS)^p) = N(T^p) ⊕ N(S^p) for every p up
-    to the ambient dimension (the chains stabilize there); on failure
-    the offending p and the kernels N(T^p), N(S^p) are kept.  It is
-    evaluated for commuting pairs only: the test reads the equality off
-    commutation (see ``_h1_kernel_split``).  ``h2`` records
-    whether, with n0 the descent of TS, one of N(S^n0) ⊆ R(T) or
-    N(T^n0) ⊆ R(S) holds.  Fields not computed by a given check stay
-    None.
+    ``h1`` records whether N((TS)^p) = N(T^p) ⊕ N(S^p) for every p.  It
+    is evaluated for commuting pairs only, for which it is equivalent to
+    N(T) ∩ N(S) = {0} (see ``_h1_kernel_split``); so on failure
+    ``h1_failing_p`` is always 1 and ``h1_subspaces`` holds N(T), N(S).
+    ``h2`` records whether, with n0 the descent of TS, one of
+    N(S^n0) ⊆ R(T) or N(T^n0) ⊆ R(S) holds.  Fields not computed by a
+    given check stay None.
     """
 
     commute: bool
@@ -135,21 +134,23 @@ def _products(s: Matrix, t: Matrix) -> tuple[bool, Matrix]:
     return st == ts, ts
 
 
-def _h1_kernel_split(s: Matrix, t: Matrix, top: int | None = None):
-    """Kernel condition of the splitting hypothesis for p = 1..top (default dim).
+def _h1_kernel_split(s: Matrix, t: Matrix):
+    """The splitting hypothesis for a commuting pair, decided at p = 1.
 
-    For a commuting pair N(T^p) + N(S^p) lies in N((TS)^p), whose dimension
-    is at most dim N(T^p) + dim N(S^p); so the sum is N((TS)^p) exactly
-    when it is direct, and only that is tested.
+    For commuting S and T, N(T^p) + N(S^p) lies in N((TS)^p), whose
+    dimension is at most dim N(T^p) + dim N(S^p); so the split holds at p
+    exactly when V = N(T^p) ∩ N(S^p) is {0}.  V is invariant under both
+    operators.  If V ≠ {0}, T is nilpotent on V, so K = V ∩ N(T) ≠ {0};
+    K is S-invariant and S is nilpotent on it, so K ∩ N(S) ≠ {0}.  Hence
+    the split holds for every p iff N(T) ∩ N(S) = {0}, and the first
+    failing p is always 1.  The argument about V uses no finite
+    dimension, and tower sections are matrices, so the same test serves
+    them.  Precondition: S and T commute.
     """
-    d = _check_square_pair(s, t)
-    top = d if top is None else top
-    for p in range(1, top + 1):
-        n_t = power_kernel(t, p)
-        n_s = power_kernel(s, p)
-        if not is_direct_sum([n_t, n_s]):
-            return False, p, (n_t, n_s)
-    return True, None, None
+    n_t, n_s = power_kernel(t, 1), power_kernel(s, 1)
+    if is_direct_sum([n_t, n_s]):
+        return True, None, None
+    return False, 1, (n_t, n_s)
 
 
 def check_H1(s: Matrix, t: Matrix) -> HypothesisReport:
@@ -194,55 +195,32 @@ def check_hypotheses(s: Matrix, t: Matrix) -> HypothesisReport:
     )
 
 
-def _h1_satisfied(s: Matrix, t: Matrix) -> bool:
-    rep = check_H1(s, t)
-    return rep.commute and bool(rep.h1)
-
-
-def _h2_satisfied(s: Matrix, t: Matrix) -> bool:
-    return bool(check_H2(s, t).h2)
-
-
 # ---------------------------------------------------------------------------
 # exception sets
 
 
-@dataclass(frozen=True)
-class SetMembership:
-    member: bool
-    certificate: str
-    details: dict = field(default_factory=dict)
+def in_R_set(s: Matrix, t: Matrix, lam) -> bool:
+    """Whether lam is in R: finite asc(S+T-lam) implies H1 fails.
 
-    def to_obj(self) -> dict:
-        return {
-            "member": self.member,
-            "certificate": self.certificate,
-            "details": self.details,
-        }
-
-
-def in_R_set(s: Matrix, t: Matrix, lam) -> SetMembership:
-    """lam is in R iff finite asc(S+T-lam) implies H1 fails; for matrices, iff H1 fails."""
+    The ascent of S+T-lam is finite for every matrix, so membership is
+    H1 failing for the shifted pair.
+    """
     _check_square_pair(s, t)
-    h1 = _h1_satisfied(s.shifted(lam), t.shifted(lam))
-    return SetMembership(
-        not h1,
-        "ascent of S+T-lam is finite for every matrix, so membership is H1 failing",
-        {"h1": h1, "lambda": format_scalar(as_gq(lam))},
-    )
+    rep = check_H1(s.shifted(lam), t.shifted(lam))
+    return not (rep.commute and rep.h1)
 
 
-def in_N_set(s: Matrix, t: Matrix, lam) -> SetMembership:
-    """lam is in N iff finite dsc(S+T-lam) implies H1 or H2 fails; for matrices, iff one does."""
+def in_N_set(s: Matrix, t: Matrix, lam) -> bool:
+    """Whether lam is in N: finite dsc(S+T-lam) implies H1 or H2 fails.
+
+    The descent of S+T-lam is finite for every matrix, so membership is
+    H1 or H2 failing for the shifted pair; H2 is evaluated only when H1
+    holds.
+    """
     _check_square_pair(s, t)
-    s_l = s.shifted(lam)
-    t_l = t.shifted(lam)
-    hyps = _h1_satisfied(s_l, t_l) and _h2_satisfied(s_l, t_l)
-    return SetMembership(
-        not hyps,
-        "descent of S+T-lam is finite for every matrix, so membership is H1 or H2 failing",
-        {"h1_and_h2": hyps, "lambda": format_scalar(as_gq(lam))},
-    )
+    s_l, t_l = s.shifted(lam), t.shifted(lam)
+    rep = check_H1(s_l, t_l)
+    return not (rep.commute and rep.h1 and check_H2(s_l, t_l).h2)
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +629,7 @@ def _verify_th1(mats, instance):
     rows = []
     for lam in _nonzero_candidates(s, t, s + t):
         # no ascent is infinite, so both sides reduce to membership in R
-        r_mem = in_R_set(s, t, lam).member
+        r_mem = in_R_set(s, t, lam)
         rows.append({"lambda": format_scalar(lam), "lhs": r_mem, "rhs": r_mem, "in_R": r_mem})
     witness["candidates"] = rows
     witness["mismatches"] = []
@@ -668,7 +646,7 @@ def _verify_nov(mats, instance):
     for lam in _nonzero_candidates(s, t, s + t):
         # no descent is infinite and no codimension is, so M is empty and
         # both sides reduce to membership in N
-        n_mem = in_N_set(s, t, lam).member
+        n_mem = in_N_set(s, t, lam)
         rows.append({"lambda": format_scalar(lam), "lhs": n_mem, "rhs": n_mem,
                      "in_M": False, "in_N": n_mem})
     witness["candidates"] = rows
@@ -767,17 +745,18 @@ def batch_summary(verdicts: list[TheoremVerdict]) -> dict:
 # tower-mode checks for the spectra-level statements
 
 
-def _h1_window(s_secs, t_secs, lam, cfg, p_bound: int) -> bool:
+def _h1_window(s_secs, t_secs, lam) -> bool:
+    """H1 at lam on every section; section dicts are keyed by window size."""
     return all(
-        _h1_kernel_split(s_secs[n].shifted(lam), t_secs[n].shifted(lam), p_bound)[0]
-        for n in cfg.window()
+        _h1_kernel_split(s_secs[n].shifted(lam), t_secs[n].shifted(lam))[0] for n in s_secs
     )
 
 
-def _h2_window(s_secs, t_secs, lam, cfg) -> bool:
+def _h2_window(s_secs, t_secs, lam) -> bool:
+    """H2 at lam on every section."""
     return all(
         _h2_inclusion(s_secs[n].shifted(lam), t_secs[n].shifted(lam))[1] is not None
-        for n in cfg.window()
+        for n in s_secs
     )
 
 
@@ -787,7 +766,6 @@ def verify_tower(
     t_spec: OperatorSpec,
     candidates,
     cfg: TowerConfig = DEFAULT_CONFIG,
-    p_bound: int = 3,
 ) -> TheoremVerdict:
     """Spectra-level statements tested literally over a candidate set.
 
@@ -795,7 +773,9 @@ def verify_tower(
     and S + T stands in for spectrum membership.  Hypotheses checked on
     finite sections are window-empirical: a failing conclusion is a fail
     only when the spec of S or of T certifies a finite-rank power (so TS
-    is in F̃ for certain), and inconclusive otherwise.
+    is in F̃ for certain), and inconclusive otherwise.  The sections of a
+    commuting pair split their kernels for every power exactly when
+    N(T_n) ∩ N(S_n) = {0}, so H1 is that one test per section.
     """
     if theorem not in ("monn", "th1", "nov"):
         raise ValueError("tower mode covers the spectra-level statements only")
@@ -807,11 +787,11 @@ def verify_tower(
         "window": list(cfg.window()),
         "candidates": [format_scalar(as_gq(lam)) for lam in candidates],
     }
-    verdict, witness, note = _tower_findings(theorem, s_spec, t_spec, candidates, cfg, p_bound)
+    verdict, witness, note = _tower_findings(theorem, s_spec, t_spec, candidates, cfg)
     return TheoremVerdict(theorem, verdict, witness, instance, note=note)
 
 
-def _tower_findings(theorem, s_spec, t_spec, candidates, cfg, p_bound):
+def _tower_findings(theorem, s_spec, t_spec, candidates, cfg):
     """Verdict, witness and note of verify_tower."""
     s_secs = window_sections(s_spec, cfg)
     t_secs = window_sections(t_spec, cfg)
@@ -849,12 +829,10 @@ def _tower_findings(theorem, s_spec, t_spec, candidates, cfg, p_bound):
         else:
             if theorem == "th1":
                 # literal implication: a sum without finite ascent is a member
-                member = sum_v.kind != "finite" or not _h1_window(
-                    s_secs, t_secs, lam, cfg, p_bound
-                )
+                member = sum_v.kind != "finite" or not _h1_window(s_secs, t_secs, lam)
                 row["in_R"] = member
             else:  # nov
-                member = _in_M_or_N_window(s_secs, t_secs, prod_secs, sum_v, lam, cfg, p_bound)
+                member = _in_M_or_N_window(s_secs, t_secs, prod_secs, sum_v, lam)
                 row["in_M_or_N"] = member
             ok = (member or (nonzero and in_sigma_sum)) == (member or (nonzero and in_sigma_parts))
         row["ok"] = ok
@@ -871,7 +849,7 @@ def _tower_findings(theorem, s_spec, t_spec, candidates, cfg, p_bound):
     return "pass", witness, "window-empirical hypotheses" if not certified else ""
 
 
-def _in_M_or_N_window(s_secs, t_secs, prod_secs, sum_dsc, lam, cfg, p_bound) -> bool:
+def _in_M_or_N_window(s_secs, t_secs, prod_secs, sum_dsc, lam) -> bool:
     """Window membership in M or N; sum_dsc is the verdict on dsc(S + T - lambda)."""
     prod_dsc = window_profile(prod_secs, lam)["dsc"]
     # M: no finite descent index n0 for the product, or a divergent codim R(A^n0);
@@ -885,6 +863,4 @@ def _in_M_or_N_window(s_secs, t_secs, prod_secs, sum_dsc, lam, cfg, p_bound) -> 
 
     if grows(s_secs) or grows(t_secs):
         return True
-    return not (
-        _h1_window(s_secs, t_secs, lam, cfg, p_bound) and _h2_window(s_secs, t_secs, lam, cfg)
-    )
+    return not (_h1_window(s_secs, t_secs, lam) and _h2_window(s_secs, t_secs, lam))
