@@ -320,6 +320,9 @@ def _trajectory_from(
     return GapTrajectory(tuple(samples), base_rank, tuple(ranks))
 
 
+# number of trailing samples that make up a tail
+TAIL_WINDOW = 5
+
 _COLUMNS = {
     ("upper", "kernel"): "dku",
     ("lower", "kernel"): "dkl",
@@ -339,11 +342,9 @@ def classify_convergence(
     key = (side, obj)
     if key not in _COLUMNS:
         raise ValueError("side must be upper/lower and object kernel/range")
-    if len(traj.samples) < tol.tail_window:
-        raise ValueError(
-            f"trajectory needs at least {tol.tail_window} samples for a tail"
-        )
-    tail = traj.tail(_COLUMNS[key], tol.tail_window)
+    if len(traj.samples) < TAIL_WINDOW:
+        raise ValueError(f"trajectory needs at least {TAIL_WINDOW} samples for a tail")
+    tail = traj.tail(_COLUMNS[key], TAIL_WINDOW)
     if all(v < tol.conv_tol for v in tail):
         return "converged"
     if all(v >= 10 * tol.conv_tol for v in tail):
@@ -353,7 +354,7 @@ def classify_convergence(
 
 def limsup_gamma(traj: GapTrajectory, tol: Tolerance = DEFAULT_TOL) -> float:
     """Empirical limsup surrogate: max of gamma over the tail window."""
-    tail = traj.tail("gamma", tol.tail_window)
+    tail = traj.tail("gamma", TAIL_WINDOW)
     return max(tail) if tail else math.inf
 
 
@@ -458,7 +459,7 @@ def _probe_dense(spec, proposition, lam, tol: Tolerance, traj):
         raise ValueError(f"dense probes need a square base matrix, got {rows}x{cols}")
     if traj is None:
         traj = _trajectory_from(limit, realized, tol)
-    if len(traj.samples) < tol.tail_window:
+    if len(traj.samples) < TAIL_WINDOW:
         raise ValueError("sequence too short for the configured tail window")
     shifted = traj
     if shift:
@@ -484,7 +485,7 @@ def _probe_dense(spec, proposition, lam, tol: Tolerance, traj):
         sub_results[sub] = {
             "hypotheses_met": sub_hyps_met,
             "classification": classification,
-            "tail": shifted.tail(_COLUMNS[(side, obj)], tol.tail_window),
+            "tail": shifted.tail(_COLUMNS[(side, obj)], TAIL_WINDOW),
         }
 
     witness: dict = {

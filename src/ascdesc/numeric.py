@@ -26,20 +26,16 @@ class Tolerance:
     rank_rel: singular values below rank_rel * sigma_max count as zero;
         finite, in (0, 1), since at 1 or above every rank reads 0.
     conv_tol: a delta tail below this reads as converged; finite and > 0.
-    tail_window: number of trailing samples that make up a tail.
     """
 
     rank_rel: float = 1e-9
     conv_tol: float = 1e-6
-    tail_window: int = 5
 
     def __post_init__(self):
         if not 0 < self.rank_rel < 1:  # also rejects nan
             raise ValueError(f"rank tolerance must lie in (0, 1), got {self.rank_rel!r}")
         if not 0 < self.conv_tol < math.inf:
             raise ValueError(f"convergence tolerance must be finite and > 0, got {self.conv_tol!r}")
-        if self.tail_window <= 0:
-            raise ValueError("tail window must be strictly positive")
 
 
 DEFAULT_TOL = Tolerance()

@@ -54,11 +54,9 @@ from .spectra import eigenvalues_exact, point_profile
 from .tower import (
     DEFAULT_CONFIG,
     OperatorSpec,
-    PowerRankVerdict,
     TowerConfig,
-    _certain_power_rank,
     classify_window,
-    probed_power_rank,
+    is_power_finite_rank,
     window_profile,
     window_sections,
 )
@@ -770,10 +768,11 @@ def verify_tower(
     """Spectra-level statements tested literally over a candidate set.
 
     Divergence in the window profile (``tower.window_profile``) of S, T
-    and S + T stands in for spectrum membership.  Hypotheses checked on
-    finite sections are window-empirical: a failing conclusion is a fail
-    only when the spec of S or of T certifies a finite-rank power (so TS
-    is in F̃ for certain), and inconclusive otherwise.  The sections of a
+    and S + T stands in for spectrum membership.  TS ∈ F̃ is decided by
+    ``tower.is_power_finite_rank``; where that leaves it undecided and the
+    sections commute, S or else T in F̃ settles it.  TS outside F̃ makes
+    the verdict inconclusive, a failing conclusion is a fail only when TS
+    is in F̃ for certain, and a pass notes an undecided F̃.  The sections of a
     commuting pair split their kernels for every power exactly when
     N(T_n) ∩ N(S_n) = {0}, so H1 is that one test per section.
     """
@@ -798,14 +797,12 @@ def _tower_findings(theorem, s_spec, t_spec, candidates, cfg):
     sum_secs = {n: s_secs[n] + t_secs[n] for n in cfg.window()}
     prod_secs = {n: t_secs[n] @ s_secs[n] for n in cfg.window()}
     commute = all(s_secs[n] @ t_secs[n] == prod_secs[n] for n in cfg.window())
-    # for commuting S and T, (TS)^k = T^k S^k has rank at most that of S^k
-    # and of T^k, so a factor whose spec certifies a finite-rank power
-    # certifies TS at the same exponent; only a bound on the rank is known
-    certified = commute and (_certain_power_rank(s_spec) or _certain_power_rank(t_spec))
-    if certified:
-        f_tilde = PowerRankVerdict("certain-true", n0=certified.n0)
-    else:
-        f_tilde = probed_power_rank(prod_secs, cfg)
+    f_tilde = is_power_finite_rank(t_spec, s_spec)
+    if f_tilde.kind == "undecided" and commute:
+        # for commuting S and T, (TS)^k = T^k S^k has rank at most that of
+        # S^k and of T^k, so S or else T in F̃ puts TS there at its exponent
+        alone = (is_power_finite_rank(factor) for factor in (s_spec, t_spec))
+        f_tilde = next((v for v in alone if v.kind == "certain-true"), f_tilde)
     witness: dict = {"commute_on_window": commute, "f_tilde": f_tilde.to_obj()}
     if not commute:
         return "inconclusive", witness, "sections do not commute on the window"
@@ -840,13 +837,16 @@ def _tower_findings(theorem, s_spec, t_spec, candidates, cfg):
     mismatches = [row for row in rows if not row["ok"]]
     witness["candidates"] = rows
     witness["mismatches"] = mismatches
+    certain = f_tilde.kind == "certain-true"
+    if f_tilde.kind == "certain-false":
+        return "inconclusive", witness, "no power of TS has finite rank (TS is not in F̃)"
     if mismatches:
-        if f_tilde.kind == "certain-true":
+        if certain:
             return "fail", witness, "candidate-set statement violated"
-        return "inconclusive", witness, "violation under empirical hypotheses only"
+        return "inconclusive", witness, "violation while F̃ membership of TS is undecided"
     if saw_inconclusive:
         return "inconclusive", witness, "window classification inconclusive at some candidate"
-    return "pass", witness, "window-empirical hypotheses" if not certified else ""
+    return "pass", witness, "" if certain else "F̃ membership of TS undecided"
 
 
 def _in_M_or_N_window(s_secs, t_secs, prod_secs, sum_dsc, lam) -> bool:

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
+from math import lcm
 
 from .chains import chain_report
 from .exact import (
@@ -27,8 +29,6 @@ from .exact import (
     json_object,
     matrix_from_obj,
     matrix_to_obj,
-    power_rank,
-    rank,
 )
 from .gq import (
     GQ,
@@ -41,8 +41,6 @@ from .gq import (
 )
 
 QUANTITIES = ("asc", "dsc", "alpha", "beta")
-# exponents 1..RANK_POWER_BOUND are probed by probed_power_rank
-RANK_POWER_BOUND = 4
 
 
 @dataclass(frozen=True)
@@ -59,9 +57,6 @@ class TowerConfig:
 
     def window(self) -> tuple[int, ...]:
         return tuple(self.n0 + k * self.step for k in range(self.count))
-
-    def to_obj(self) -> dict:
-        return {"n0": self.n0, "step": self.step, "count": self.count}
 
 
 DEFAULT_CONFIG = TowerConfig()
@@ -166,11 +161,6 @@ class BandedSpec(OperatorSpec):
                 if v:
                     rows[i0 + t][j0 + t] = integer[v]
         return Matrix.from_integer_rows(n, den, rows)
-
-    def is_zero(self) -> bool:
-        return all(
-            not any(seq.pre) and not any(seq.period) for _, seq in self.diagonals
-        )
 
     def to_obj(self) -> dict:
         return {
@@ -313,16 +303,15 @@ def spec_from_obj(obj: dict) -> OperatorSpec:
             return BandedSpec.from_dict(diags)
         if variant == "finite_rank":
             terms = []
-            for term in obj.get("terms", []):
+            for term in json_array(obj.get("terms", []), "finite_rank terms"):
                 term = json_object(term, "finite_rank term")
                 left = _scalars(term["left"], "finite_rank term left")
                 right = _scalars(term["right"], "finite_rank term right")
                 terms.append((left, right))
             return FiniteRankSpec(tuple(terms))
-        if variant == "sum":
-            return SumSpec(tuple(spec_from_obj(p) for p in obj["parts"]))
-        if variant == "direct_sum":
-            return DirectSumSpec(tuple(spec_from_obj(p) for p in obj["parts"]))
+        if variant in ("sum", "direct_sum"):
+            parts = tuple(spec_from_obj(p) for p in json_array(obj["parts"], f"{variant} parts"))
+            return (SumSpec if variant == "sum" else DirectSumSpec)(parts)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed {variant!r} operator spec: {exc!r}") from exc
     raise ValueError(f"unknown operator spec variant {variant!r}")
@@ -355,16 +344,6 @@ class TowerVerdict:
     def label(self) -> int | str:
         """The value when finite, the kind otherwise."""
         return self.value if self.kind == "finite" else self.kind
-
-    def to_obj(self) -> dict:
-        obj = {
-            "quantity": self.quantity,
-            "per_truncation": [[n, v] for n, v in self.per_truncation],
-            "classification": self.kind,
-        }
-        if self.value is not None:
-            obj["value"] = self.value
-        return obj
 
 
 def classify_window(quantity: str, samples: list[tuple[int, int]]) -> TowerVerdict:
@@ -441,85 +420,98 @@ def tower_spectrum(
 
 @dataclass(frozen=True)
 class PowerRankVerdict:
-    """Three-valued answer to "does some power have bounded finite rank".
+    """Exact answer to "does some power have finite rank" (membership in F̃).
 
-    certain verdicts come from the structure of the spec; likely
-    verdicts come from rank probes across the window and can be wrong
-    past it.
+    certain-true carries n0, the least such exponent; undecided is given
+    only for products that mix direct sums with other layouts.
     """
 
-    kind: str  # "certain-true" | "likely-true" | "likely-false"
+    kind: str  # "certain-true" | "certain-false" | "undecided"
     n0: int | None = None
-    rank: int | None = None
-    ranks_seen: tuple[tuple[int, tuple[int, ...]], ...] = ()
 
     def to_obj(self) -> dict:
         obj = {"verdict": self.kind}
         if self.n0 is not None:
             obj["n0"] = self.n0
-        if self.rank is not None:
-            obj["rank"] = self.rank
-        if self.ranks_seen:
-            obj["ranks"] = {str(p): list(r) for p, r in self.ranks_seen}
         return obj
 
 
-def _certain_power_rank(spec: OperatorSpec) -> PowerRankVerdict | None:
-    if isinstance(spec, DenseSpec):
-        return PowerRankVerdict("certain-true", n0=1, rank=rank(spec.matrix))
-    if isinstance(spec, FiniteRankSpec):
-        return PowerRankVerdict("certain-true", n0=1, rank=len(spec.terms))
-    if isinstance(spec, BandedSpec) and spec.is_zero():
-        return PowerRankVerdict("certain-true", n0=1, rank=0)
-    if isinstance(spec, SumSpec):
-        parts = [_certain_power_rank(p) for p in spec.parts]
-        if all(p is not None and p.n0 == 1 for p in parts):
-            return PowerRankVerdict(
-                "certain-true", n0=1, rank=sum(p.rank or 0 for p in parts)
-            )
+def _period_and_width(spec: OperatorSpec) -> tuple[int, int] | None:
+    """lcm of the period lengths and largest |offset|; None if a direct sum occurs."""
+    if isinstance(spec, (DenseSpec, FiniteRankSpec)):
+        return 1, 0
+    if isinstance(spec, BandedSpec):
+        shapes = [(len(seq.period) or 1, abs(o)) for o, seq in spec.diagonals]
+    elif isinstance(spec, SumSpec):
+        shapes = [_period_and_width(p) for p in spec.parts]
+    else:
         return None
+    if None in shapes:
+        return None
+    return lcm(*(p for p, _ in shapes)), max((w for _, w in shapes), default=0)
+
+
+def _layout(spec: OperatorSpec) -> tuple | None:
+    """Dense part sizes by position of a direct sum (None for flexible parts)."""
     if isinstance(spec, DirectSumSpec):
-        parts = [_certain_power_rank(p) for p in spec.parts]
-        if all(p is not None for p in parts):
-            return PowerRankVerdict(
-                "certain-true",
-                n0=max(p.n0 or 1 for p in parts),
-                rank=sum(p.rank or 0 for p in parts),
-            )
-        return None
+        return tuple(p.matrix.rows if isinstance(p, DenseSpec) else None for p in spec.parts)
     return None
 
 
-def is_power_finite_rank(
-    spec: OperatorSpec, cfg: TowerConfig = DEFAULT_CONFIG
-) -> PowerRankVerdict:
-    """Decide membership in the power-finite-rank class where possible.
+def is_power_finite_rank(*factors: OperatorSpec) -> PowerRankVerdict:
+    """Decide exactly whether some power of the product of factors has finite rank.
 
-    Dense blocks, finite-rank terms and their sums settle structurally
-    (some power, here the first, has rank bounded independently of the
-    section size).  Otherwise ranks of powers are probed across the
-    window: an exponent whose rank freezes over the window yields
-    likely-true, and none doing so yields likely-false.
+    Without direct sums, let P be the lcm of the period lengths, w the
+    bandwidth and z = ``min_truncation()``.  Each row i >= z of the spec M
+    is row i of a bi-infinite P-periodic band L: its entries read their
+    diagonals at t >= z - |offset|, past every preperiod, and finite-rank
+    and dense parts vanish there.  So the band M is T(A) + finite rank, with
+    T(A) the block Toeplitz operator of L's P x P trigonometric symbol A.  By
+    Widom's identity T(A)T(B) = T(AB) - H(A)H(B~), with Hankels of finite
+    rank, M^k = T(A^k) + finite rank, and T(A^k) is compact only if A^k = 0
+    (Boettcher & Silbermann, *Analysis of Toeplitz Operators*, 2nd ed.
+    2006, ch. 2 and 6).  A nilpotent P x P symbol has A^P = 0, so n0 <= P.
+    A path of k steps from a row i >= z + (k - 1)w meets rows >= z only, so
+    rows z + (k - 1)w .. z + (k - 1)w + P - 1 of M^k are P consecutive rows
+    of the Laurent operator L^k and hold every coefficient of A^k.  They
+    reach columns below z + (2k - 1)w + P, so the section of size
+    N = z + (2P - 1)w + P holds them exactly for every k <= P: n0 is the
+    first k at which they are all zero, and none up to P means no power.
+
+    A product F_1 ... F_m is a band of period the lcm of the factors' and
+    bandwidth the sum of theirs.  Row i of F_1 R is periodic once i >= z_1
+    and i - w_1 clears R's bound, so z <- max(z_i, z + w_i) from the right;
+    no path leaves the section, so it is the product of the sections.
+    Direct sums are decided part by part when every factor has one layout
+    (part count, and dense sizes by position), as powers of the product
+    act part by part: certain-false if a part is, else undecided if one
+    is, else certain-true with the largest n0.  Any other mix with a
+    direct sum is undecided.
     """
-    certain = _certain_power_rank(spec)
-    if certain is not None:
-        return certain
-    return probed_power_rank(window_sections(spec, cfg), cfg)
-
-
-def probed_power_rank(sections: dict[int, Matrix], cfg: TowerConfig) -> PowerRankVerdict:
-    """Rank probe of the powers of given window sections, exponents 1..RANK_POWER_BOUND.
-
-    The first exponent whose rank is the same on every section yields
-    likely-true; none doing so yields likely-false.
-    """
-    window = cfg.window()
-    seen = []
-    for exponent in range(1, RANK_POWER_BOUND + 1):
-        ranks = tuple(power_rank(sections[n], exponent) for n in window)
-        seen.append((exponent, ranks))
-        if all(r == ranks[0] for r in ranks):
-            return PowerRankVerdict(
-                "likely-true", n0=exponent, rank=ranks[0], ranks_seen=tuple(seen)
-            )
-    return PowerRankVerdict("likely-false", ranks_seen=tuple(seen))
+    layouts = {_layout(f) for f in factors}
+    if None not in layouts:
+        if len(layouts) > 1:
+            return PowerRankVerdict("undecided")
+        parts = [is_power_finite_rank(*fs) for fs in zip(*(f.parts for f in factors))]
+        for kind in ("certain-false", "undecided"):
+            if any(p.kind == kind for p in parts):
+                return PowerRankVerdict(kind)
+        return PowerRankVerdict("certain-true", n0=max(p.n0 for p in parts))
+    shapes = [_period_and_width(f) for f in factors]
+    if None in shapes:
+        return PowerRankVerdict("undecided")
+    period = lcm(*(p for p, _ in shapes))
+    width = sum(w for _, w in shapes)
+    z = 0
+    for factor, (_, w) in zip(reversed(factors), reversed(shapes)):
+        z = max(factor.min_truncation(), z + w)
+    n = z + (2 * period - 1) * width + period
+    product = reduce(Matrix.__matmul__, (f.realize(n) for f in factors))
+    power = product
+    for k in range(1, period + 1):
+        first = z + (k - 1) * width
+        if not any(power.int_rows[first : first + period]):
+            return PowerRankVerdict("certain-true", n0=k)
+        if k < period:
+            power = power @ product
+    return PowerRankVerdict("certain-false")

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from ascdesc.chains import chain_report, direct_sum, prop_asc_predicate, prop_dsc_predicate
-from ascdesc.convergence import Perturbation, SequenceSpec, probe, trajectory
+from ascdesc.convergence import TAIL_WINDOW, Perturbation, SequenceSpec, probe, trajectory
 from ascdesc.exact import (
     Matrix,
     block_diag,
@@ -299,8 +299,8 @@ def test_criterion_10_convergence_lab():
         )
         traj = trajectory(spec, tol)
         assert all(r == traj.base_rank for r in traj.ranks), "rank must stay constant"
-        assert all(v < 1e-6 for v in traj.tail("dku", tol.tail_window))
-        assert all(v < 1e-6 for v in traj.tail("dkl", tol.tail_window))
+        assert all(v < 1e-6 for v in traj.tail("dku", TAIL_WINDOW))
+        assert all(v < 1e-6 for v in traj.tail("dkl", TAIL_WINDOW))
 
     fixture = SequenceSpec(
         J2, Perturbation(exponent=1.0, direction=Matrix.identity(2)), (100, 2000, 100)

@@ -546,8 +546,24 @@ def test_gap_rejects_non_object_subspace_file(tmp_path):
             {"variant": "finite_rank", "terms": [{"left": "12", "right": ["1"]}]},
             "term left must be a JSON array",
         ),
+        # an empty string or object would read as no parts, the zero operator
+        ({"variant": "sum", "parts": ""}, "sum parts must be a JSON array"),
+        ({"variant": "sum", "parts": {}}, "sum parts must be a JSON array"),
+        ({"variant": "finite_rank", "terms": {}}, "finite_rank terms must be a JSON array"),
+        ({"variant": "finite_rank", "terms": ""}, "finite_rank terms must be a JSON array"),
     ],
-    ids=["diagonals", "diagonal", "term", "term-key", "period-string", "left-string"],
+    ids=[
+        "diagonals",
+        "diagonal",
+        "term",
+        "term-key",
+        "period-string",
+        "left-string",
+        "parts-string",
+        "parts-object",
+        "terms-object",
+        "terms-string",
+    ],
 )
 def test_spectrum_tower_rejects_malformed_spec(tmp_path, spec, cause):
     path = write(tmp_path, "spec.json", spec)

@@ -205,7 +205,6 @@ def test_tolerance_validation():
         {"conv_tol": 0},
         {"conv_tol": math.nan},
         {"conv_tol": math.inf},
-        {"tail_window": 0},
     ):
         with pytest.raises(ValueError):
             Tolerance(**kwargs)

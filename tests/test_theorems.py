@@ -474,7 +474,10 @@ def test_tower_nov_sum_descent_puts_a_point_in_N():
     row = {r["lambda"]: r for r in verdict.witness["candidates"]}["1"]
     assert (row["sum"], row["S"], row["T"]) == ("divergent", 0, 1)
     assert row["in_M_or_N"] and row["ok"]
-    assert verdict.verdict == "pass", verdict.witness
+    # TS = B has no finite-rank power, so the hypothesis TS in F̃ fails
+    assert verdict.verdict == "inconclusive", verdict.witness
+    assert verdict.witness["f_tilde"] == {"verdict": "certain-false"}
+    assert "no power of TS has finite rank" in verdict.note
 
 
 def _plant_divergence(monkeypatch, planted_sections, point):
@@ -508,10 +511,47 @@ def test_tower_planted_mismatch_fails_only_when_f_tilde_is_certain(
     verdict = verify_tower(theorem, s_spec, t_spec, [GQ(0), GQ(2)], CFG)
     assert [row["lambda"] for row in verdict.witness["mismatches"]] == ["2"]
     assert verdict.verdict == expected, verdict.witness
-    # the block fixture's S is a dense block plus a zero tail, so S and
-    # hence TS have finite rank; for B and 2B only the rank probe speaks
+    # the block fixture's TS vanishes, so it is in F̃; 2B², and every
+    # power of it, has infinite rank, so for B and 2B the verdict cannot fail
     certain = verdict.witness["f_tilde"]["verdict"] == "certain-true"
     assert certain == (pair == "block")
+
+
+def _parity_projections():
+    """P_even and P_odd: diagonal projections onto even and odd coordinates."""
+    even = BandedSpec.from_dict({0: EventuallyPeriodic(period=(GQ(1), GQ(0)))})
+    odd = BandedSpec.from_dict({0: EventuallyPeriodic(period=(GQ(0), GQ(1)))})
+    return even, odd
+
+
+@pytest.mark.parametrize("theorem", ["th1", "nov"])
+def test_tower_planted_mismatch_fails_on_a_vanishing_product(monkeypatch, theorem):
+    # neither projection has a finite-rank power, but their product is 0,
+    # so TS is in F̃ for certain and a planted mismatch is a fail
+    s_spec, t_spec = _parity_projections()
+    _plant_divergence(monkeypatch, window_sections(s_spec, CFG), GQ(2))
+    verdict = verify_tower(theorem, s_spec, t_spec, [GQ(0), GQ(2)], CFG)
+    assert verdict.witness["f_tilde"] == {"verdict": "certain-true", "n0": 1}
+    assert [row["lambda"] for row in verdict.witness["mismatches"]] == ["2"]
+    assert verdict.verdict == "fail", verdict.witness
+
+
+@pytest.mark.parametrize("theorem", ["monn", "th1", "nov"])
+@pytest.mark.parametrize(
+    "pair",
+    [
+        (backward_shift, _twice_backward_shift),
+        (forward_shift, forward_shift),
+        (backward_shift, identity_tail),
+    ],
+    ids=["B,2B", "S,S", "B,I"],
+)
+def test_tower_never_passes_without_f_tilde(theorem, pair):
+    s_spec, t_spec = (make() for make in pair)
+    verdict = verify_tower(theorem, s_spec, t_spec, [GQ(0), GQ(1), GQ(2)], CFG)
+    assert verdict.witness["f_tilde"] == {"verdict": "certain-false"}
+    assert verdict.verdict == "inconclusive", verdict.witness
+    assert verdict.witness["candidates"]
 
 
 @pytest.mark.parametrize("theorem", ["monn", "th1", "nov"])
@@ -545,22 +585,22 @@ TOWER_PAIRS = {
 TOWER_SHA256 = {
     ("monn", "block", 2): "ab6ffdd5c483460d4cadfea51952fce9591e60a4a1f04b4b9490be5dc5dcb2b0",
     ("monn", "block", 3): "ab6ffdd5c483460d4cadfea51952fce9591e60a4a1f04b4b9490be5dc5dcb2b0",
-    ("monn", "B,2B", 2): "0956ff5c26b7939c0953bf0891851abe327a51f8055daaf38927bf24fd7818ab",
-    ("monn", "B,2B", 3): "0956ff5c26b7939c0953bf0891851abe327a51f8055daaf38927bf24fd7818ab",
-    ("monn", "S,S", 2): "fdf53175ff9e9b5cc912228bc9860136a27f82d91d9918697aabd069abc05257",
-    ("monn", "S,S", 3): "fdf53175ff9e9b5cc912228bc9860136a27f82d91d9918697aabd069abc05257",
+    ("monn", "B,2B", 2): "d94562811e92f1bae1a55f00145327f635f1c160f2e26d3e0ebcffeedc0a3b5d",
+    ("monn", "B,2B", 3): "d94562811e92f1bae1a55f00145327f635f1c160f2e26d3e0ebcffeedc0a3b5d",
+    ("monn", "S,S", 2): "850f9bbe0c7a8eaa3f135c379920c8c1ac1e51808ed7913125740c0825e885ba",
+    ("monn", "S,S", 3): "850f9bbe0c7a8eaa3f135c379920c8c1ac1e51808ed7913125740c0825e885ba",
     ("th1", "block", 2): "4d2e6b7bcddb0d2ed5cc0fb778bc010018d1beccf0509d2b77a8b06015377961",
     ("th1", "block", 3): "4d2e6b7bcddb0d2ed5cc0fb778bc010018d1beccf0509d2b77a8b06015377961",
-    ("th1", "B,2B", 2): "58f1c97674674c6be5581dfa3d8d86f2a7e20c32fd46dc9c0cb008deb963022a",
-    ("th1", "B,2B", 3): "58f1c97674674c6be5581dfa3d8d86f2a7e20c32fd46dc9c0cb008deb963022a",
-    ("th1", "S,S", 2): "a302f06af23e2d84eec22122922ceb9c48a27d108c6ea155cd2aab522cd95728",
-    ("th1", "S,S", 3): "a302f06af23e2d84eec22122922ceb9c48a27d108c6ea155cd2aab522cd95728",
+    ("th1", "B,2B", 2): "6d621dda0addcc8a4927cacc93e6d5e0204f63bb7045470f8efb8b666cb29c13",
+    ("th1", "B,2B", 3): "6d621dda0addcc8a4927cacc93e6d5e0204f63bb7045470f8efb8b666cb29c13",
+    ("th1", "S,S", 2): "9d2652ebc9f768d880f257f39bcf9dd686a3d2f8c506b3f8a19aa5adc31fa968",
+    ("th1", "S,S", 3): "9d2652ebc9f768d880f257f39bcf9dd686a3d2f8c506b3f8a19aa5adc31fa968",
     ("nov", "block", 2): "5db76a787b79de67a706c3488d728cdf2f88a7b68aa1004e39c252ab65027fcf",
     ("nov", "block", 3): "5db76a787b79de67a706c3488d728cdf2f88a7b68aa1004e39c252ab65027fcf",
-    ("nov", "B,2B", 2): "1d9ae5cc9aac24b6cfaee38cc281b88949f493ac7bceeee5b2d6ea394f75104b",
-    ("nov", "B,2B", 3): "1d9ae5cc9aac24b6cfaee38cc281b88949f493ac7bceeee5b2d6ea394f75104b",
-    ("nov", "S,S", 2): "fd4a67045063ca3bb113b363d27ffac0959ffb25dd54037e6712eac53ebee0f2",
-    ("nov", "S,S", 3): "fd4a67045063ca3bb113b363d27ffac0959ffb25dd54037e6712eac53ebee0f2",
+    ("nov", "B,2B", 2): "edefef6dc5f49540cad76ea93cc3f7b3277a57eef3b0d2e4242b58a2d3d0ba26",
+    ("nov", "B,2B", 3): "edefef6dc5f49540cad76ea93cc3f7b3277a57eef3b0d2e4242b58a2d3d0ba26",
+    ("nov", "S,S", 2): "908669a5d0aa4a5f3329ee5468c64aff29cd02bce05678f8ef0fb5e76838e380",
+    ("nov", "S,S", 3): "908669a5d0aa4a5f3329ee5468c64aff29cd02bce05678f8ef0fb5e76838e380",
 }
 
 

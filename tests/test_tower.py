@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ascdesc.chains import chain_report
@@ -21,7 +23,7 @@ from ascdesc.tower import (
     window_sections,
 )
 
-from oracles import brute_chain
+from oracles import bareiss_rank, brute_chain, gi_matmul, to_gaussian_int
 
 J2 = Matrix.from_rows([[0, 1], [0, 0]])
 J3 = Matrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
@@ -194,41 +196,144 @@ def test_tower_spectrum_dense_not_in_sigma():
 
 def test_power_finite_rank_examples():
     fr = FiniteRankSpec((((GQ(1),), (GQ(1),)),))
-    verdict = is_power_finite_rank(fr, CFG)
+    verdict = is_power_finite_rank(fr)
     assert verdict.kind == "certain-true" and verdict.n0 == 1
 
-    dense = is_power_finite_rank(DenseSpec(J2), CFG)
-    assert dense.kind == "certain-true" and dense.n0 == 1 and dense.rank == 1
+    dense = is_power_finite_rank(DenseSpec(J2))
+    assert dense.kind == "certain-true" and dense.n0 == 1
 
-    shift = is_power_finite_rank(backward_shift(), CFG)
-    assert shift.kind == "likely-false"
-    # rank of the k-th power at truncation N is N - k
-    first_probe = dict(shift.ranks_seen)[1]
-    assert first_probe == tuple(n - 1 for n in CFG.window())
+    shift = is_power_finite_rank(backward_shift())
+    assert shift.kind == "certain-false" and shift.n0 is None
 
 
 def test_power_finite_rank_sum_with_vanishing_band():
     silent = BandedSpec.from_dict({1: EventuallyPeriodic(period=(GQ(0),))})
     fr = FiniteRankSpec((((GQ(1),), (GQ(1),)),))
-    verdict = is_power_finite_rank(SumSpec((silent, fr)), CFG)
+    verdict = is_power_finite_rank(SumSpec((silent, fr)))
     assert verdict.kind == "certain-true"
 
 
 def test_power_finite_rank_nilpotent_band_probe():
-    # a dense block beside a band with no diagonals has finite rank by its
-    # structure alone, so no window probe runs
+    # a dense block beside a band with no diagonals has finite rank itself
     spec = DirectSumSpec((DenseSpec(J2), BandedSpec.from_dict({})))
-    verdict = is_power_finite_rank(spec, CFG)
-    assert verdict.kind == "certain-true" and verdict.ranks_seen == ()
+    verdict = is_power_finite_rank(spec)
+    assert verdict.kind == "certain-true" and verdict.n0 == 1
+
+
+def _weighted_shift(period, pre=()):
+    """Weights on the first superdiagonal, as integers."""
+    return BandedSpec.from_dict(
+        {1: EventuallyPeriodic(tuple(map(GQ, pre)), tuple(map(GQ, period)))}
+    )
 
 
 def test_power_finite_rank_weighted_shift_reaches_the_probe():
-    # the weighted shift with weights 1, 0, 1, 0, ... squares to 0 on every
-    # section, which only the window probe of its powers sees
-    spec = BandedSpec.from_dict({1: EventuallyPeriodic(period=(GQ(1), GQ(0)))})
-    verdict = is_power_finite_rank(spec, CFG)
-    assert verdict.kind == "likely-true" and verdict.n0 == 2 and verdict.rank == 0
-    assert verdict.ranks_seen == ((1, (4, 6, 8)), (2, (0, 0, 0)))
+    # the weighted shift with weights 1, 0, 1, 0, ... squares to 0, and a
+    # preperiod adds only finite rank
+    for pre in ((), (1, 1, 1)):
+        verdict = is_power_finite_rank(_weighted_shift((1, 0), pre))
+        assert verdict.kind == "certain-true" and verdict.n0 == 2, pre
+
+
+def _diagonal(period):
+    return BandedSpec.from_dict({0: EventuallyPeriodic(period=tuple(map(GQ, period)))})
+
+
+def test_power_finite_rank_nilpotent_weighted_shift_of_period_six():
+    # a zero weight in every run of six kills the sixth power, and no earlier
+    # one: a window of four exponents cannot see it
+    verdict = is_power_finite_rank(_weighted_shift((1, 1, 1, 1, 1, 0)))
+    assert verdict.kind == "certain-true" and verdict.n0 == 6
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        forward_shift(),
+        _weighted_shift((2,)),
+        SumSpec((backward_shift(), FiniteRankSpec((((GQ(1),), (GQ(1),)),)))),
+        identity_tail(),
+    ],
+    ids=["S", "2B", "B+rank-one", "I"],
+)
+def test_power_finite_rank_certainly_false(spec):
+    assert is_power_finite_rank(spec).kind == "certain-false"
+
+
+def test_power_finite_rank_direct_sums_combine_part_by_part():
+    # one part outside F̃ puts the whole sum outside, whatever the others say
+    assert is_power_finite_rank(DirectSumSpec((DenseSpec(J3), backward_shift()))).kind == (
+        "certain-false"
+    )
+    verdict = is_power_finite_rank(DirectSumSpec((DenseSpec(J3), _weighted_shift((1, 0)))))
+    assert verdict.kind == "certain-true" and verdict.n0 == 2
+
+
+def test_power_finite_rank_of_products():
+    zero = BandedSpec.from_dict({})
+    # (B ⊕ 0)(0 ⊕ S) = 0 and P_even P_odd = 0, though no factor is in F̃
+    split = is_power_finite_rank(
+        DirectSumSpec((backward_shift(), zero)), DirectSumSpec((zero, forward_shift()))
+    )
+    assert split.kind == "certain-true" and split.n0 == 1
+    parity = is_power_finite_rank(_diagonal((1, 0)), _diagonal((0, 1)))
+    assert parity.kind == "certain-true" and parity.n0 == 1
+    # BS = I and SB = I minus a rank-one projection are not
+    assert is_power_finite_rank(backward_shift(), forward_shift()).kind == "certain-false"
+    assert is_power_finite_rank(forward_shift(), backward_shift()).kind == "certain-false"
+    # diag(1, 0, 1, 0, ...) B is the weighted shift with weights 1, 0, ...
+    verdict = is_power_finite_rank(_diagonal((1, 0)), backward_shift())
+    assert verdict.kind == "certain-true" and verdict.n0 == 2
+
+
+def test_power_finite_rank_mixed_direct_sum_is_undecided():
+    mixed = DirectSumSpec((DenseSpec(J3), backward_shift()))
+    assert is_power_finite_rank(mixed, backward_shift()).kind == "undecided"
+    assert is_power_finite_rank(SumSpec((mixed,))).kind == "undecided"
+    other = DirectSumSpec((DenseSpec(J2), backward_shift()))
+    assert is_power_finite_rank(mixed, other).kind == "undecided"
+
+
+def _random_band(rng):
+    """Seeded band: offsets in -2..2, periods up to 3 with zeros, short preperiods."""
+    diagonals = {}
+    for offset in rng.sample(range(-2, 3), rng.randint(1, 3)):
+        period = tuple(GQ(rng.choice((0, 0, 1, 2, -1))) for _ in range(rng.randint(1, 3)))
+        pre = tuple(GQ(rng.choice((0, 1, 3))) for _ in range(rng.randint(0, 2)))
+        diagonals[offset] = EventuallyPeriodic(pre, period)
+    return BandedSpec.from_dict(diagonals)
+
+
+def _rank_growth_n0(factors, small, large, top):
+    """First k <= top whose section power ranks agree at both sizes, by Bareiss."""
+
+    def power_rank(n, k):
+        product = None
+        for f in factors:
+            section = to_gaussian_int(f.realize(n))
+            product = section if product is None else gi_matmul(product, section)
+        power = product
+        for _ in range(k - 1):
+            power = gi_matmul(power, product)
+        return bareiss_rank(power)
+
+    for k in range(1, top + 1):
+        if power_rank(small, k) == power_rank(large, k):
+            return k
+    return None
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_power_finite_rank_matches_the_section_rank_growth(seed):
+    # Some power of a banded operator has finite rank exactly when the
+    # ranks of its sections' powers stop growing; both sizes are multiples
+    # of every period in play, so the truncation corner looks the same
+    rng = random.Random(seed)
+    factors = [_random_band(rng) for _ in range(1 + seed % 2)]
+    verdict = is_power_finite_rank(*factors)
+    expected = _rank_growth_n0(factors, 24, 36, 6)
+    assert verdict.kind == ("certain-true" if expected else "certain-false")
+    assert verdict.n0 == expected
 
 
 def test_spec_json_round_trip():
