@@ -8,9 +8,12 @@ nullity gives dim N(T^k) = d - rank(T^k), so both chains are read from
 rank(T^k) alone, and asc = dsc.  The ranks are the lengths of T's
 row-space chain (:func:`ascdesc.exact.row_space_chain`), which also
 serves the kernels and ranges of powers.  The Prop 1.1 predicates work
-on the canonical integer rows of the subspaces involved: each sum and
-intersection comes from one Zassenhaus elimination, and a witness
-complement is checked as a direct sum by its dimension.
+on the canonical integer rows of the subspaces involved, and each is
+decided by one elimination: the ascent predicate stacks the rows of
+R(T^m) and N(T^d) and compares ranks, and the descent predicate extends
+the echelon rows of R(T^n) by the rows of N(T^m), whose kept rows span
+the witness complement Y_n.  A witness complement is checked as a
+direct sum by its dimension.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .exact import (
     row_space_chain,
     solve_exact,
     subspace_intersection,
-    sum_and_intersection,
     vstack,
 )
 
@@ -92,17 +94,18 @@ def prop_asc_predicate(t: Matrix, m: int) -> AscentCheck:
     """True iff R(T^m) ∩ N(T^d) = {0}, d the ambient dimension.
 
     The kernel chain stabilizes by d, so intersecting against N(T^d)
-    covers every exponent at once.  Equivalent to asc(T) <= m.
+    covers every exponent at once.  The intersection is {0} exactly when
+    the two subspaces form a direct sum, and it is built only for the
+    witness of a failure.  Equivalent to asc(T) <= m.
     """
     if not t.is_square:
         raise ValueError("prop_asc_predicate requires a square matrix")
     d = t.rows
     r_m = power_image(t, m)
     n_d = power_kernel(t, d)
-    meet = subspace_intersection(r_m, n_d)
-    if meet.is_zero():
+    if is_direct_sum([r_m, n_d]):
         return AscentCheck(True, None)
-    return AscentCheck(False, meet.basis.row(0))
+    return AscentCheck(False, subspace_intersection(r_m, n_d).basis.row(0))
 
 
 @dataclass(frozen=True)
@@ -121,11 +124,17 @@ class DescentCheck:
 def prop_dsc_predicate(t: Matrix, m: int) -> DescentCheck:
     """True iff N(T^m) + R(T^n) = X for every n <= dim; builds witnesses.
 
-    The sum and the intersection N(T^m) ∩ R(T^n) come from one
-    elimination.  Witness construction: extend a basis of the
-    intersection to a basis of N(T^m); the added vectors span a
-    complement Y_n of R(T^n).  The direct-sum identity X = Y_n ⊕ R(T^n)
-    is re-verified before return.  Equivalent to dsc(T) <= m.
+    For each n the rows of N(T^m) are reduced, in order, against the
+    echelon rows of R(T^n) and the rows kept before them; a row is kept
+    when it is independent of both.  The kept rows K extend a basis of
+    R(T^n) to one of N(T^m) + R(T^n), so the sum is X exactly when
+    |K| + dim R(T^n) = dim, and then Y_n = span K is a complement of
+    R(T^n) inside N(T^m).  These are the rows that extending a basis of
+    N(T^m) ∩ R(T^n) would keep: for a row r of N(T^m) and kept rows
+    K ⊆ N(T^m), r lies in R(T^n) + span K exactly when it lies in
+    (N(T^m) ∩ R(T^n)) + span K, because r - k lies in both N(T^m) and
+    R(T^n).  The direct-sum identity X = Y_n ⊕ R(T^n) is re-verified
+    before return.  Equivalent to dsc(T) <= m.
     """
     if not t.is_square:
         raise ValueError("prop_dsc_predicate requires a square matrix")
@@ -134,25 +143,15 @@ def prop_dsc_predicate(t: Matrix, m: int) -> DescentCheck:
     witnesses: list[tuple[int, Subspace]] = []
     for n in range(d + 1):
         r_n = power_image(t, n)
-        total, meet = sum_and_intersection(n_m, r_n)
-        if total.dim != d:
+        pivots = {min(row): row for row in r_n.rows}
+        kept = [row for row in n_m.rows if extend_echelon(pivots, row)]
+        if len(kept) + r_n.dim < d:
             return DescentCheck(False, tuple(witnesses), failing_n=n)
-        y_n = _extend_within(meet, n_m)
+        y_n = integer_span(d, kept)
         if y_n.dim + r_n.dim != d or not is_direct_sum([y_n, r_n]):
             raise RuntimeError("witness construction failed the direct-sum check")
         witnesses.append((n, y_n))
     return DescentCheck(True, tuple(witnesses))
-
-
-def _extend_within(inner: Subspace, outer: Subspace) -> Subspace:
-    """Span of outer-basis vectors extending a basis of inner to outer.
-
-    An outer basis row is kept when it is independent of the inner basis
-    and of the rows kept before it.
-    """
-    pivots = {min(row): row for row in inner.rows}
-    extension = [row for row in outer.rows if extend_echelon(pivots, row)]
-    return integer_span(outer.ambient_dim, extension)
 
 
 def compression(t: Matrix, p: Matrix) -> Matrix:

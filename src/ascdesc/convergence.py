@@ -352,7 +352,7 @@ def classify_convergence(
     return "inconclusive"
 
 
-def limsup_gamma(traj: GapTrajectory, tol: Tolerance = DEFAULT_TOL) -> float:
+def limsup_gamma(traj: GapTrajectory) -> float:
     """Empirical limsup surrogate: max of gamma over the tail window."""
     tail = traj.tail("gamma", TAIL_WINDOW)
     return max(tail) if tail else math.inf
@@ -468,7 +468,7 @@ def _probe_dense(spec, proposition, lam, tol: Tolerance, traj):
         realized = [(n, t_n - shift * eye) for n, t_n in realized]
         shifted = _trajectory_from(limit, realized, tol)
 
-    gamma_stated = limsup_gamma(traj, tol)
+    gamma_stated = limsup_gamma(traj)
     hyp_flags = {
         # in finite dimension every subspace is closed, and orthogonal
         # projection attains the distance to it
@@ -493,7 +493,7 @@ def _probe_dense(spec, proposition, lam, tol: Tolerance, traj):
         "lambda": format_scalar(lam_gq) if lam_gq is not None else repr(shift),
         "hypotheses": hyp_flags,
         "limsup_gamma": gamma_stated,
-        "limsup_gamma_shifted": limsup_gamma(shifted, tol),
+        "limsup_gamma_shifted": limsup_gamma(shifted),
         "sub_lemmas": sub_results,
         "chain_conditions": _CHAIN_CONDITIONS,
         "rank_jumps": list(shifted.rank_jumps),

@@ -227,7 +227,10 @@ class DirectSumSpec(OperatorSpec):
 
     Dense parts keep their fixed sizes; the remaining dimension is
     split as evenly as possible among the flexible parts, any leftover
-    going to the later ones.  Sections are corner-consistent only when
+    going to the later ones, whatever their minimum sizes.  So direct
+    sums of one layout (part count, and dense sizes by position) split
+    every section alike, and each flexible part gets at least the
+    largest flexible minimum.  Sections are corner-consistent only when
     at most one flexible part is present (and it comes last); with
     several flexible parts the interior block boundaries move with N.
     """
@@ -239,24 +242,18 @@ class DirectSumSpec(OperatorSpec):
             raise ValueError("direct sum needs at least one part")
 
     def min_truncation(self) -> int:
-        return sum(p.min_truncation() for p in self.parts)
+        fixed = sum(p.min_truncation() for p in self.parts if isinstance(p, DenseSpec))
+        flexible = [p.min_truncation() for p in self.parts if not isinstance(p, DenseSpec)]
+        return fixed + len(flexible) * max(flexible, default=0)
 
     def _allocate(self, n: int) -> list[int]:
-        sizes = []
-        flexible = []
-        for idx, p in enumerate(self.parts):
-            if isinstance(p, DenseSpec):
-                sizes.append(p.matrix.rows)
-            else:
-                sizes.append(p.min_truncation())
-                flexible.append(idx)
+        sizes = [p.matrix.rows if isinstance(p, DenseSpec) else 0 for p in self.parts]
+        flexible = [i for i, p in enumerate(self.parts) if not isinstance(p, DenseSpec)]
         leftover = n - sum(sizes)
-        if leftover < 0:
-            raise ValueError(f"truncation {n} cannot fit the fixed blocks")
         if flexible:
             share, extra = divmod(leftover, len(flexible))
             for rank_from_end, idx in enumerate(reversed(flexible)):
-                sizes[idx] += share + (1 if rank_from_end < extra else 0)
+                sizes[idx] = share + (1 if rank_from_end < extra else 0)
         elif leftover:
             raise ValueError(
                 f"truncation {n} exceeds the total fixed size {sum(sizes)}"

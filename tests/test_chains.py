@@ -13,15 +13,18 @@ from ascdesc.chains import (
 from ascdesc.exact import (
     Matrix,
     block_diag,
+    extend_echelon,
+    integer_span,
     invert,
     is_direct_sum,
     power_image,
     power_kernel,
     row_space_chain,
+    subspace_intersection,
     subspace_sum,
 )
 from ascdesc.gq import GQ
-from ascdesc.theorems import random_matrix, _random_unimodular
+from ascdesc.theorems import random_matrix, _random_unimodular, _structured_block
 
 import random
 
@@ -163,21 +166,41 @@ def test_dsc_predicate_examples():
     assert all(y.dim == 0 for _, y in trivial.witnesses)
 
 
+def _reference_complement(n_m, r_n):
+    """Y_n as a basis of N(T^m) ∩ R(T^n) extended by the rows of N(T^m) gives it."""
+    pivots = {min(row): row for row in subspace_intersection(n_m, r_n).rows}
+    return integer_span(n_m.ambient_dim, [row for row in n_m.rows if extend_echelon(pivots, row)])
+
+
 def test_predicates_match_chain_indices_exhaustively():
-    for seed in range(25):
-        t = random_matrix(seed, 1 + seed % 5)
+    rng = random.Random("dsc-witnesses")
+    matrices = [random_matrix(seed, 1 + seed % 5) for seed in range(25)]
+    matrices += [_structured_block(rng, 2 + seed % 4) for seed in range(15)]
+    failures = overlaps = 0
+    for t in matrices:
+        d = t.rows
         rep = chain_report(t)
-        for m in range(t.rows + 1):
+        for m in range(d + 1):
             assert prop_asc_predicate(t, m).holds == (rep.asc <= m)
             check = prop_dsc_predicate(t, m)
             assert check.holds == (rep.dsc <= m)
-            if check.holds:
-                n_m = power_kernel(t, m)
-                for n, y_n in check.witnesses:
-                    r_n = power_image(t, n)
-                    assert n_m.contains(y_n)
-                    assert is_direct_sum([y_n, r_n])
-                    assert subspace_sum(y_n, r_n).is_full()
+            n_m = power_kernel(t, m)
+            sums = [subspace_sum(n_m, power_image(t, n)).is_full() for n in range(d + 1)]
+            first_short = sums.index(False) if False in sums else None
+            assert check.failing_n == first_short
+            stop = d + 1 if first_short is None else first_short
+            assert [n for n, _ in check.witnesses] == list(range(stop))
+            for n, y_n in check.witnesses:
+                r_n = power_image(t, n)
+                assert n_m.contains(y_n)
+                assert is_direct_sum([y_n, r_n])
+                assert subspace_sum(y_n, r_n).is_full()
+                assert y_n.rows == _reference_complement(n_m, r_n).rows
+                overlaps += not subspace_intersection(n_m, r_n).is_zero()
+            failures += first_short is not None
+    # both outcomes occur, and so do complements that must skip kernel
+    # rows lying in R(T^n)
+    assert failures >= 20 and overlaps >= 20, (failures, overlaps)
 
 
 # --- compressions ---------------------------------------------------------

@@ -35,6 +35,7 @@ from ascdesc.tower import (
     backward_shift,
     forward_shift,
     identity_tail,
+    is_power_finite_rank,
     window_sections,
 )
 from oracles import bareiss_rank, gi_matmul, to_gaussian_int
@@ -135,9 +136,18 @@ def test_h2_block_pair():
 
 
 def test_h2_invertible_factor():
-    # T invertible makes N(T^n0) = {0} from the second inclusion
+    # T invertible makes R(T) = X, so the first inclusion holds
     report = check_H2(J2, Matrix.identity(2))
-    assert report.h2
+    assert report.h2 and report.h2_inclusion == "N(S^n0) in R(T)"
+
+
+def test_h2_second_inclusion():
+    # S = J4², T = J4: TS = J4³ has descent 2, N(S²) = X is not inside
+    # R(T), but N(T²) = span(e1, e2) = R(S)
+    j4 = Matrix.from_rows([[int(j == i + 1) for j in range(4)] for i in range(4)])
+    report = check_H2(j4 @ j4, j4)
+    assert report.h2 and report.h2_n0 == 2
+    assert report.h2_inclusion == "N(T^n0) in R(S)"
 
 
 def test_check_hypotheses_f_tilde():
@@ -478,6 +488,30 @@ def test_tower_nov_sum_descent_puts_a_point_in_N():
     assert verdict.verdict == "inconclusive", verdict.witness
     assert verdict.witness["f_tilde"] == {"verdict": "certain-false"}
     assert "no power of TS has finite rank" in verdict.note
+
+
+@pytest.mark.parametrize("theorem", ["monn", "th1", "nov"])
+def test_tower_non_commuting_sections_are_inconclusive(theorem):
+    # BS = I but SB = I minus a rank-one projection, on every section
+    verdict = verify_tower(theorem, backward_shift(), forward_shift(), [GQ(0)], CFG)
+    assert verdict.verdict == "inconclusive"
+    assert verdict.note == "sections do not commute on the window"
+    assert verdict.witness["commute_on_window"] is False
+    assert "candidates" not in verdict.witness
+
+
+@pytest.mark.parametrize("theorem", ["monn", "th1", "nov"])
+def test_tower_f_tilde_falls_back_to_a_commuting_factor(theorem):
+    # TS with S = J2 ⊕ 0 mixes a direct sum with a band, so TS ∈ F̃ is
+    # undecided; S has finite rank and commutes with T = I, so TS is in F̃
+    s_spec = DirectSumSpec((DenseSpec(J2), BandedSpec.from_dict({})))
+    t_spec = identity_tail()
+    assert is_power_finite_rank(t_spec, s_spec).kind == "undecided"
+    verdict = verify_tower(theorem, s_spec, t_spec, [GQ(0), GQ(1), GQ(2)], CFG)
+    assert verdict.witness["f_tilde"] == {"verdict": "certain-true", "n0": 1}
+    assert verdict.verdict == "pass" and verdict.note == "", verdict.witness
+    if theorem == "th1":
+        assert not any(row["in_R"] for row in verdict.witness["candidates"])
 
 
 def _plant_divergence(monkeypatch, planted_sections, point):

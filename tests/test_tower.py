@@ -58,6 +58,31 @@ def test_realize_too_small():
         DenseSpec(J3).realize(2)
     with pytest.raises(ValueError):
         DirectSumSpec((DenseSpec(J3), backward_shift())).realize(3)
+    # each flexible part gets at least the largest flexible minimum (2)
+    zero = BandedSpec.from_dict({})
+    for spec, minimum in (
+        (DirectSumSpec((backward_shift(), zero)), 4),
+        (DirectSumSpec((DenseSpec(J3), zero, forward_shift(), zero)), 3 + 3 * 2),
+    ):
+        assert spec.min_truncation() == minimum
+        assert spec.realize(minimum).rows == minimum
+        with pytest.raises(ValueError):
+            spec.realize(minimum - 1)
+
+
+@pytest.mark.parametrize("n", [8, 9, 12])
+def test_direct_sums_of_one_layout_split_every_section_alike(n):
+    # B ⊕ 0 and 0 ⊕ S split alike, so their sum is a section of B ⊕ S,
+    # although B, S (minimum 2) and 0 (minimum 1) differ in minimum size
+    zero = BandedSpec.from_dict({})
+    left = DirectSumSpec((backward_shift(), zero))
+    right = DirectSumSpec((zero, forward_shift()))
+    both = DirectSumSpec((backward_shift(), forward_shift()))
+    halves = [n // 2, n - n // 2]
+    assert left._allocate(n) == right._allocate(n) == both._allocate(n) == halves
+    assert SumSpec((left, right)).realize(n) == both.realize(n)
+    with_block = DirectSumSpec((DenseSpec(J2), backward_shift(), zero))
+    assert with_block._allocate(n)[1:] == left._allocate(n - 2)
 
 
 def test_realization_consistency():
