@@ -5,20 +5,23 @@ the descent is the first k with R(T^k) = R(T^k+1).  Both chains are
 monotone, so dimension comparisons decide subspace equality, and both
 stabilize no later than the ambient dimension.  In dimension d, rank
 nullity gives dim N(T^k) = d - rank(T^k), so both chains are read from
-rank(T^k) alone, and asc = dsc.  The ranks are the lengths of T's
-row-space chain (:func:`ascdesc.exact.row_space_chain`), which also
-serves the kernels and ranges of powers.  The Prop 1.1 predicates work
-on the canonical integer rows of the subspaces involved, and each is
-decided by one elimination: the ascent predicate stacks the rows of
-R(T^m) and N(T^d) and compares ranks, and the descent predicate extends
-the echelon rows of R(T^n) by the rows of N(T^m), whose kept rows span
-the witness complement Y_n.  A witness complement is checked as a
-direct sum by its dimension.
+rank(T^k) alone, and asc = dsc.  The ranks are read off the lengths of
+T's left-kernel chain (:func:`ascdesc.exact.left_kernel_chain`): step k
+holds the new vectors of LN(T^k) = {y : yT^k = 0}, whose dimension is
+d - rank(T^k).  The same chains serve the kernels and ranges of powers
+(:func:`ascdesc.exact.power_kernel`, :func:`ascdesc.exact.power_image`).
+The Prop 1.1 predicates work on the canonical integer rows of the
+subspaces involved, and each is decided by one elimination: the ascent
+predicate stacks the rows of R(T^m) and N(T^d) and compares ranks, and
+the descent predicate extends the echelon rows of R(T^n) by the rows of
+N(T^m), whose kept rows span the witness complement Y_n.  A witness
+complement is checked as a direct sum by its dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .exact import (
     Matrix,
@@ -29,9 +32,9 @@ from .exact import (
     integer_span,
     is_direct_sum,
     kernel_basis,
+    left_kernel_chain,
     power_image,
     power_kernel,
-    row_space_chain,
     solve_exact,
     subspace_intersection,
     vstack,
@@ -68,18 +71,19 @@ class ChainReport:
 def chain_report(t: Matrix) -> ChainReport:
     """Kernel and range chains of T up to stabilization.
 
-    rank(T^k) is the length of entry k of T's row-space chain
-    (:func:`ascdesc.exact.row_space_chain`), which stops at the first
-    power whose rank repeats.
+    dim N(T^k) = dim LN(T^k) is the count of vectors in the first k steps
+    of T's left-kernel chain (:func:`ascdesc.exact.left_kernel_chain`),
+    whose length is the ascent: no subspace is built.
     """
     if not t.is_square:
         raise ValueError("chain_report requires a square matrix")
     d = t.rows
-    range_dims = [len(rows) for rows in row_space_chain(t)]
-    range_dims.append(range_dims[-1])
-    kernel_dims = tuple(d - dim for dim in range_dims)
-    asc = len(range_dims) - 2
-    return ChainReport(kernel_dims, tuple(range_dims), asc, asc, kernel_dims[1], d - range_dims[1])
+    steps = left_kernel_chain(t)
+    kernel_dims = (0, *accumulate(map(len, steps)))
+    kernel_dims += kernel_dims[-1:]
+    range_dims = tuple(d - dim for dim in kernel_dims)
+    asc = len(steps)
+    return ChainReport(kernel_dims, range_dims, asc, asc, kernel_dims[1], d - range_dims[1])
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,15 @@ canonical rows of its reduced row-echelon basis, so subspaces are equal
 exactly when their rows are.  The sum and the intersection of two
 subspaces come from one elimination (Zassenhaus's algorithm), and a sum
 is direct exactly when the dimensions add up.  Each square matrix caches
-one chain of the canonical row bases of row(A^k), which stops where the
-rank repeats; :func:`ascdesc.chains.chain_report`, :func:`power_kernel`,
-:func:`power_image` and :func:`power_rank` all read it, so no power A^k
-is formed as a matrix.  Floating-point counterparts live in
-:mod:`ascdesc.numeric`.
+one left-kernel chain, built from left Jordan chains: one elimination of
+A's tagged rows gives LN(A) = {y : yA = 0}, then one reduction per
+vector of LN(A^k) gives the new vectors of LN(A^(k+1)), until a step
+finds none.  :func:`ascdesc.chains.chain_report` and :func:`power_rank`
+read its lengths, :func:`power_image` reads R(A^k) as the annihilator of
+LN(A^k), and :func:`power_kernel` reads N(A^k) = LN((A^T)^k) from the
+chain of the transpose; no power A^k is formed as a matrix, and a
+d x d chain holds at most d vectors.  Floating-point counterparts live
+in :mod:`ascdesc.numeric`.
 """
 
 from __future__ import annotations
@@ -27,13 +31,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from typing import Iterable, Sequence
 
 # Nothing in the package calls sympy.  It is still imported at load
 # because ascbench/run.py:import_layers takes the median of sympy's
-# -X importtime line and fails when there is none; ROADMAP item 1 makes it
-# read an absent module as 0 s, and then this import goes.
+# -X importtime line and fails when there is none; ROADMAP item 1a makes
+# it read an absent module as 0 s, and then this import goes.
 import sympy  # noqa: F401
 
 from .gq import (
@@ -337,22 +341,34 @@ def _reduce(row: Row, pivot_row: Row, col: int) -> Row:
     return out
 
 
+def _reduce_below(pivots: dict[int, Row], row: Row, width: float) -> Row | None:
+    """Reduce row against the pivot rows while it leads in a column below width.
+
+    A row that comes to lead in a new such column joins the pivots, and
+    None is returned; otherwise the reduced row, zero in every column below
+    width, is returned.
+    """
+    while row:
+        col = min(row)
+        if col >= width:
+            break
+        pivot_row = pivots.get(col)
+        if pivot_row is None:
+            pivots[col] = _canonical(row)
+            return None
+        row = _reduce(row, pivot_row, col)
+        if row:
+            row = _primitive(row)
+    return row
+
+
 def extend_echelon(pivots: dict[int, Row], row: Row) -> bool:
     """Reduce row against the pivot rows; keep it if it leads in a new column.
 
     ``pivots`` maps each pivot column to its canonical pivot row.  Returns
     whether the row was independent of them, that is, whether it was added.
     """
-    while row:
-        col = min(row)
-        pivot_row = pivots.get(col)
-        if pivot_row is None:
-            pivots[col] = _canonical(row)
-            return True
-        row = _reduce(row, pivot_row, col)
-        if row:
-            row = _primitive(row)
-    return False
+    return _reduce_below(pivots, row, inf) is None
 
 
 def echelon(rows: Iterable[Row]) -> list[Row]:
@@ -732,50 +748,100 @@ def matrix_from_obj(obj: dict) -> Matrix:
 
 
 @lru_cache(maxsize=128)
-def row_space_chain(a: Matrix) -> tuple[tuple[Row, ...], ...]:
-    """The canonical reduced rows of row(A^k) for k = 0, 1, ..., s.
+def left_kernel_chain(a: Matrix) -> tuple[tuple[Row, ...], ...]:
+    """Left Jordan chains of A: step k holds the new vectors of LN(A^k).
 
-    row(A^(k+1)) = row(A^k) * A, so the rows of one basis times the rows
-    of D*A span the next row space: each power costs one forward
-    elimination of rank(A^k) rows, plus a back-substitution while the
-    rank still falls.  The chain stops at the first s with
-    rank(A^(s+1)) = rank(A^s); the row spaces are nested, so
-    row(A^k) = row(A^s) for every k >= s.  N(A^k) is the null space of
-    entry k, and R(A^k) is entry k of the chain of the transpose.
+    LN(M) = {y : yM = 0} is the left null space of M.  Steps k = 1, ..., s
+    are returned, s the first index with LN(A^(s+1)) = LN(A^s), which is
+    the ascent; the vectors of steps 1..k are a basis of LN(A^k), so
+    rank(A^k) = d - their count.  The rows of D*A stand for A here: they
+    have the same left null spaces.  One pivot dict over the columns
+    [A-part | preimage tag | kernel tag] serves the whole chain, and every
+    row reduced against it keeps the form [pA + sum c_j l_j | p | c]:
+
+    1. Row i of A is reduced as [row i | e_i | 0].  A row whose A-part
+       vanishes leaves its preimage tag p with pA = 0.  Each reduction
+       step is invertible on the d rows, whose tags so stay independent:
+       these p are a basis of LN(A), step 1.
+    2. Each vector l of step k is reduced, in order, as [l | 0 | e_l].
+       If it comes to lead in a new A-column it joins the pivots.
+       Otherwise it leaves [0 | p | c] with pA = -sum c_j l_j in LN(A^k),
+       so p lies in LN(A^(k+1)); these p are step k + 1.  The chain stops
+       at the first step that finds none.
+
+    Step k + 1 is a basis of LN(A^(k+1)) modulo LN(A^k), by induction on k:
+
+    (a) Independent: the pivot rows present when l is reduced name only
+        vectors reduced before l in their kernel tags, and l's own tag
+        stays nonzero.  So modulo
+        LN(A^(k-1)), each u = pA is a nonzero multiple of its l plus
+        earlier vectors of step k, triangular in step k, whose vectors
+        are independent modulo LN(A^(k-1)).  A combination of the p's in
+        LN(A^k) would give the same combination of the u's in
+        LN(A^(k-1)), so it is trivial.
+    (b) y -> yA maps LN(A^(k+1)) onto LN(A^k) ∩ row A with kernel LN(A),
+        so dim LN(A^(k+1)) = dim LN(A) + dim(LN(A^k) ∩ row A).
+    (c) Each vector reduced either joins the pivots or already lies in the
+        span of their A-parts, so before step k that span is
+        row A + LN(A^(k-1)), and l is dependent exactly when it lies in
+        this plus the earlier l's of step k.  So the p's found number
+        |step k| - dim(row A + LN(A^k)) + dim(row A + LN(A^(k-1)))
+        = dim(LN(A^k) ∩ row A) - dim(LN(A^(k-1)) ∩ row A), and by (b)
+        that is dim LN(A^(k+1)) - dim LN(A^k): each dependent l adds one
+        to the intersection.
+
+    A nilpotent matrix so costs d reductions and holds d vectors in all.
     Keyed by A; at most ``maxsize`` chains are held.
     """
     if not a.is_square:
         raise ValueError("power chains require a square matrix")
-    chain = [tuple({i: (1, 0)} for i in range(a.rows))]
-    rows = a.int_rows
-    while True:
-        basis = echelon(rows)
-        if len(basis) == len(chain[-1]):
-            return tuple(chain)
-        chain.append(tuple(reduced_echelon(basis)))
-        rows = [row_times(row, a.int_rows) for row in chain[-1]]
+    d = a.rows
+    pivots: dict[int, Row] = {}
+
+    def preimage(row: Row) -> Row | None:
+        rest = _reduce_below(pivots, row, d)
+        if rest is None:
+            return None
+        return _primitive({j - d: v for j, v in rest.items() if j < 2 * d})
+
+    found = [preimage({**row, d + i: (1, 0)}) for i, row in enumerate(a.int_rows)]
+    steps = []
+    tag = 2 * d
+    while new := [p for p in found if p is not None]:
+        steps.append(tuple(new))
+        found = [preimage({**ell, tag + j: (1, 0)}) for j, ell in enumerate(new)]
+        tag += len(new)
+    return tuple(steps)
 
 
-def _power_rows(a: Matrix, k: int) -> tuple[Row, ...]:
-    """The canonical reduced rows of row(A^k), read from A's chain."""
+def _steps(a: Matrix, k: int) -> tuple[tuple[Row, ...], ...]:
+    """A's chain, after the check that k is a valid exponent."""
     if k < 0:
         raise ValueError("negative powers are not supported")
-    chain = row_space_chain(a)
-    return chain[min(k, len(chain) - 1)]
+    return left_kernel_chain(a)
 
 
 @lru_cache(maxsize=4096)
 def power_kernel(a: Matrix, k: int) -> Subspace:
-    """N(A^k), the null space of row(A^k)."""
-    return _null_space(_power_rows(a, k), a.cols)
+    """N(A^k) = LN((A^T)^k), read from the chain of the transpose."""
+    steps = _steps(a.transpose(), k)
+    if k > len(steps):
+        return power_kernel(a, len(steps))
+    return integer_span(a.cols, chain.from_iterable(steps[:k]))
 
 
 @lru_cache(maxsize=4096)
 def power_image(a: Matrix, k: int) -> Subspace:
-    """R(A^k) = row((A^T)^k), read from the chain of the transpose."""
-    return Subspace._from_rows(a.rows, _power_rows(a.transpose(), k))
+    """R(A^k) = {x : yx = 0 for every y in LN(A^k)}, read from A's chain.
+
+    R(A^k) lies in that annihilator, and both have dimension rank(A^k).
+    """
+    steps = _steps(a, k)
+    if k > len(steps):
+        return power_image(a, len(steps))
+    return _null_space(reduced_echelon(echelon(chain.from_iterable(steps[:k]))), a.rows)
 
 
 def power_rank(a: Matrix, k: int) -> int:
-    """rank(A^k), the length of entry k of A's chain."""
-    return len(_power_rows(a, k))
+    """rank(A^k) = d - dim LN(A^k), read from A's chain."""
+    return a.rows - sum(map(len, _steps(a, k)[:k]))

@@ -42,10 +42,20 @@ from .gq import (
 
 QUANTITIES = ("asc", "dsc", "alpha", "beta")
 
+# Largest section size a window may ask for.  The exact chain of a
+# banded section grows faster than N^3 where its row tags fill in: one
+# chain report of a tridiagonal section shifted off its spectrum took
+# 0.26 s at N = 192 and 0.79 s at N = 256 (Xeon core, Python 3.11).
+# Since step >= 1, the cap also bounds the number of sections.
+MAX_SECTION = 256
+
 
 @dataclass(frozen=True)
 class TowerConfig:
-    """Window of truncation sizes n0, n0 + step, ... (count sizes)."""
+    """Window of truncation sizes n0, n0 + step, ... (count sizes).
+
+    The largest size, n0 + step * (count - 1), may not exceed MAX_SECTION.
+    """
 
     n0: int = 16
     step: int = 8
@@ -54,6 +64,11 @@ class TowerConfig:
     def __post_init__(self):
         if self.n0 < 1 or self.step < 1 or self.count < 2:
             raise ValueError("window requires n0 >= 1, step >= 1, count >= 2")
+        largest = self.n0 + self.step * (self.count - 1)
+        if largest > MAX_SECTION:
+            raise ValueError(
+                f"window's largest section {largest} exceeds the cap of {MAX_SECTION}"
+            )
 
     def window(self) -> tuple[int, ...]:
         return tuple(self.n0 + k * self.step for k in range(self.count))

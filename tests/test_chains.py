@@ -18,8 +18,8 @@ from ascdesc.exact import (
     invert,
     is_direct_sum,
     power_image,
+    left_kernel_chain,
     power_kernel,
-    row_space_chain,
     subspace_intersection,
     subspace_sum,
 )
@@ -29,7 +29,7 @@ from ascdesc.theorems import random_matrix, _random_unimodular, _structured_bloc
 import random
 
 from oracles import brute_chain
-from test_exact import assert_reduced, dense_matrix, gq_matrices
+from test_exact import dense_matrix, gq_matrices
 
 J2 = Matrix.from_rows([[0, 1], [0, 0]])
 J3 = Matrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
@@ -91,28 +91,26 @@ def _dense_nilpotent(d):
 
 
 @pytest.mark.parametrize("d", [16, 20])
-def test_dense_nilpotent_chain_carries_canonical_reduced_rows(d, monkeypatch):
-    n, t = _dense_nilpotent(d)  # built before patching: products call row_times too
-    row_space_chain.cache_clear()
-    carried = []
-    real_echelon, real_row_times = exact.echelon, exact.row_times
+def test_dense_nilpotent_chain_holds_d_vectors(d, monkeypatch):
+    """The chain of a nilpotent d x d matrix holds d vectors, one reduction
+    each after the first elimination, not the d(d+1)/2 rows of every
+    power's row space."""
+    n, t = _dense_nilpotent(d)
+    left_kernel_chain.cache_clear()
+    reduced = []
+    real = exact._reduce_below
 
-    def echelon(rows):
-        carried.append([])
-        return real_echelon(rows)
+    def reduce_below(pivots, row, width):
+        reduced.append(row)
+        return real(pivots, row, width)
 
-    def row_times(row, rows):
-        carried[-1].append(row)
-        return real_row_times(row, rows)
-
-    monkeypatch.setattr(exact, "echelon", echelon)
-    monkeypatch.setattr(exact, "row_times", row_times)
+    monkeypatch.setattr(exact, "_reduce_below", reduce_below)
     rep = chain_report(t)
     kernel_dims, ranks, asc, dsc = brute_chain(n)  # similar matrices share chains
     assert rep.range_dims == tuple(ranks[: asc + 2]) and (rep.asc, rep.dsc) == (asc, dsc)
-    assert len(carried) == asc + 1 and not carried[-1]
-    for rows in carried[:-1]:
-        assert_reduced(rows)
+    steps = left_kernel_chain(t)
+    assert len(steps) == asc and sum(map(len, steps)) == d
+    assert len(reduced) == 2 * d  # d rows of T, then each vector of the chain once
 
 
 def test_asc_equals_dsc_in_finite_dimension():

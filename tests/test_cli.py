@@ -438,6 +438,23 @@ def test_diagonal_keys_cannot_name_one_offset_twice(tmp_path):
     assert run_main(argv + ["--window", "16,4,3"])[0] == 0
 
 
+@pytest.mark.parametrize("verb", [["spectrum", "--tower", "--candidates", "0"], ["converge"]])
+def test_window_past_the_section_cap_exits_2(tmp_path, monkeypatch, verb):
+    from ascdesc import tower
+
+    def refuse(self, n):
+        raise AssertionError(f"section {n} realized")
+
+    monkeypatch.setattr(tower.OperatorSpec, "realize", refuse)
+    path = write(tmp_path, "in.json", SHIFT if verb[0] == "spectrum" else TOWER_SEQ)
+    window = f"{tower.MAX_SECTION - 9},5,3"  # largest section: cap + 1
+    code, out, err = run_main([verb[0], path, *verb[1:], "--window", window])
+    lines = err.splitlines()
+    assert code == 2 and not out, err
+    assert lines == [f"error: window's largest section {tower.MAX_SECTION + 1} exceeds "
+                     f"the cap of {tower.MAX_SECTION}"], err
+
+
 @pytest.mark.parametrize("candidates", [",", " ", "0,,2", "0,", ",0", "0, ,2"])
 def test_candidates_must_not_have_empty_parts(tmp_path, candidates):
     argv = ["spectrum", write(tmp_path, "s.json", SHIFT), "--tower", "--window", "8,4,3"]

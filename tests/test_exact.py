@@ -18,6 +18,7 @@ from ascdesc.exact import (
     invert,
     is_direct_sum,
     kernel_basis,
+    left_kernel_chain,
     matrix_from_obj,
     matrix_to_obj,
     power_image,
@@ -25,7 +26,6 @@ from ascdesc.exact import (
     power_rank,
     rank,
     reduced_echelon,
-    row_space_chain,
     rref,
     solve_exact,
     subspace_intersection,
@@ -372,19 +372,24 @@ def test_power_matches_repeated_products(d):
             products.append(products[-1] @ a)
         for k in list(ks) + list(reversed(ks)):  # growing then shrinking, or reverse
             assert power_kernel(a, k) == kernel_basis(products[k])
+            assert power_image(a, k) == image_basis(products[k])
             assert power_rank(a, k) == oracle_rank(products[k])
 
 
 def test_power_and_power_chain_share_one_chain():
     a = gq_matrix(3, 3, 7)
-    row_space_chain.cache_clear()
+    left_kernel_chain.cache_clear()
     power_kernel.cache_clear()
+    power_image.cache_clear()
     report = chain_report(a)
-    power_kernel(a, 2)
     power_rank(a, 5)
-    info = row_space_chain.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)
-    assert len(row_space_chain(a)) == report.asc + 1  # row(A^0) .. row(A^asc)
+    power_image(a, 2)
+    info = left_kernel_chain.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)  # the chain of A serves all three
+    assert len(left_kernel_chain(a)) == report.asc  # LN(A^1) .. LN(A^asc)
+    power_kernel(a, 2)
+    info = left_kernel_chain.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)  # N(A^k) reads the chain of A^T
     with pytest.raises(ValueError):
         power_rank(Matrix.zeros(2, 3), 1)
     with pytest.raises(ValueError):

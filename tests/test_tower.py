@@ -6,6 +6,7 @@ from ascdesc.chains import chain_report
 from ascdesc.exact import Matrix
 from ascdesc.gq import GQ, parse_scalar
 from ascdesc.tower import (
+    MAX_SECTION,
     BandedSpec,
     DenseSpec,
     DirectSumSpec,
@@ -385,3 +386,17 @@ def test_config_validation():
         TowerConfig(n0=0)
     with pytest.raises(ValueError):
         TowerConfig(count=1)
+
+
+@pytest.mark.parametrize("n0, step, count", [(MAX_SECTION - 1, 1, 2), (1, 1, MAX_SECTION),
+                                             (MAX_SECTION - 30, 10, 4)])
+def test_config_accepts_a_window_up_to_the_section_cap(n0, step, count):
+    # only the config is built: no section is realized
+    assert TowerConfig(n0, step, count).window()[-1] == MAX_SECTION
+
+
+@pytest.mark.parametrize("n0, step, count", [(MAX_SECTION, 1, 2), (1, 1, MAX_SECTION + 1),
+                                             (MAX_SECTION - 29, 10, 4), (1, 10**9, 10**9)])
+def test_config_rejects_a_window_past_the_section_cap(n0, step, count):
+    with pytest.raises(ValueError, match=f"exceeds the cap of {MAX_SECTION}"):
+        TowerConfig(n0, step, count)
