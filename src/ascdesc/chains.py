@@ -25,6 +25,7 @@ from itertools import accumulate
 
 from .exact import (
     Matrix,
+    Row,
     Subspace,
     block_diag,
     extend_echelon,
@@ -57,6 +58,10 @@ class ChainReport:
     alpha: int
     beta: int
 
+    def kernel_dim(self, k: int) -> int:
+        """dim N(T^k) for any k >= 0; the chain is constant past its lists."""
+        return self.kernel_dims[min(k, len(self.kernel_dims) - 1)]
+
     def to_obj(self) -> dict:
         return {
             "kernel_dims": list(self.kernel_dims),
@@ -77,8 +82,15 @@ def chain_report(t: Matrix) -> ChainReport:
     """
     if not t.is_square:
         raise ValueError("chain_report requires a square matrix")
-    d = t.rows
-    steps = left_kernel_chain(t)
+    return report_from_chain(t.rows, left_kernel_chain(t))
+
+
+def report_from_chain(d: int, steps: tuple[tuple[Row, ...], ...]) -> ChainReport:
+    """The report of a d x d matrix whose left-kernel chain has these steps.
+
+    An invertible matrix has no steps, and every index and dimension of
+    its report is 0.
+    """
     kernel_dims = (0, *accumulate(map(len, steps)))
     kernel_dims += kernel_dims[-1:]
     range_dims = tuple(d - dim for dim in kernel_dims)

@@ -53,6 +53,12 @@ from .tower import (
     window_profile,
 )
 
+# Most indices an n_range may sample.  Every sample is realized at once,
+# as one matrix (in tower mode, one section per window size), so the cap
+# bounds the work one sequence file can ask for; the largest n_range in
+# the repository's inputs samples 50 indices.
+MAX_SAMPLES = 1000
+
 PROBE_IDS = (
     "lem1",
     "lem2",
@@ -125,6 +131,11 @@ class SequenceSpec:
         start, end, stride = self.n_range
         if start < 1 or end < start or stride < 1:
             raise ValueError("n_range must satisfy 1 <= start <= end, stride >= 1")
+        count = len(range(start, end + 1, stride))
+        if count > MAX_SAMPLES:
+            raise ValueError(
+                f"n_range samples {count} indices, more than the cap of {MAX_SAMPLES}"
+            )
 
     def samples(self) -> list[int]:
         start, end, stride = self.n_range

@@ -433,6 +433,17 @@ def rank(a: Matrix) -> int:
     return len(echelon(a.int_rows))
 
 
+def is_invertible(a: Matrix) -> bool:
+    """Whether the square matrix A has full rank.
+
+    A zero row or column decides it without elimination.
+    """
+    rows = a.int_rows
+    if not all(rows) or len(set(chain.from_iterable(rows))) < a.cols:
+        return False
+    return rank(a) == a.rows
+
+
 class Subspace:
     """A subspace of the ambient column space, held as canonical integer rows.
 
@@ -843,5 +854,7 @@ def power_image(a: Matrix, k: int) -> Subspace:
 
 
 def power_rank(a: Matrix, k: int) -> int:
-    """rank(A^k) = d - dim LN(A^k), read from A's chain."""
+    """rank(A^k) = d - dim LN(A^k), read from A's chain; A^0 = I needs none."""
+    if k == 0 and a.is_square:
+        return a.rows
     return a.rows - sum(map(len, _steps(a, k)[:k]))

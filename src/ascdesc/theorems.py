@@ -55,8 +55,10 @@ from .tower import (
     DEFAULT_CONFIG,
     OperatorSpec,
     TowerConfig,
+    classify_reports,
     classify_window,
     is_power_finite_rank,
+    section_reports,
     window_profile,
     window_sections,
 )
@@ -787,9 +789,8 @@ def _tower_findings(theorem, s_spec, t_spec, candidates, cfg):
     saw_inconclusive = False
     for lam in candidates:
         lam = as_gq(lam)
-        sum_v, s_v, t_v = (
-            window_profile(secs, lam)[quantity] for secs in (sum_secs, s_secs, t_secs)
-        )
+        sum_r, s_r, t_r = (section_reports(secs, lam) for secs in (sum_secs, s_secs, t_secs))
+        sum_v, s_v, t_v = (classify_reports(r)[quantity] for r in (sum_r, s_r, t_r))
         if "inconclusive" in (sum_v.kind, s_v.kind, t_v.kind):
             saw_inconclusive = True
         nonzero = lam != GQ(0)
@@ -806,7 +807,7 @@ def _tower_findings(theorem, s_spec, t_spec, candidates, cfg):
                 )
                 row["in_R"] = member
             else:  # nov
-                member = _in_M_or_N_window(s_secs, t_secs, prod_secs, sum_v, lam)
+                member = _in_M_or_N_window(s_secs, t_secs, prod_secs, s_r, t_r, sum_v, lam)
                 row["in_M_or_N"] = member
             ok = (member or (nonzero and in_sigma_sum)) == (member or (nonzero and in_sigma_parts))
         row["ok"] = ok
@@ -826,18 +827,23 @@ def _tower_findings(theorem, s_spec, t_spec, candidates, cfg):
     return "pass", witness, "" if certain else "F̃ membership of TS undecided"
 
 
-def _in_M_or_N_window(s_secs, t_secs, prod_secs, sum_dsc, lam) -> bool:
-    """Window membership in M or N; sum_dsc is the verdict on dsc(S + T - lambda)."""
+def _in_M_or_N_window(s_secs, t_secs, prod_secs, s_reports, t_reports, sum_dsc, lam) -> bool:
+    """Window membership in M or N.
+
+    s_reports and t_reports are the ``section_reports`` of S - lambda and
+    T - lambda, and sum_dsc is the verdict on dsc(S + T - lambda).
+    """
     prod_dsc = window_profile(prod_secs, lam)["dsc"]
     # M: no finite descent index n0 for the product, or a divergent codim R(A^n0);
     # N: no finite descent for the sum, or a hypothesis failing on the window
     if prod_dsc.kind != "finite" or sum_dsc.kind != "finite":
         return True
 
-    def grows(secs):
-        samples = [(n, n - power_rank(a.shifted(lam), prod_dsc.value)) for n, a in secs.items()]
+    def grows(reports):
+        # codim R(A^n0) = dim N(A^n0) on a section
+        samples = [(n, rep.kernel_dim(prod_dsc.value)) for n, rep in reports.items()]
         return classify_window("beta", samples).kind == "divergent"
 
-    if grows(s_secs) or grows(t_secs):
+    if grows(s_reports) or grows(t_reports):
         return True
     return any(in_N_set(s_secs[n], t_secs[n], lam) for n in s_secs)

@@ -455,6 +455,29 @@ def test_window_past_the_section_cap_exits_2(tmp_path, monkeypatch, verb):
                      f"the cap of {tower.MAX_SECTION}"], err
 
 
+@pytest.mark.parametrize("sequence", [RESOLVENT_SEQ, TOWER_SEQ], ids=["dense", "tower"])
+@pytest.mark.parametrize("past_cap", [0, 1])
+def test_n_range_past_the_sample_cap_exits_2(tmp_path, monkeypatch, sequence, past_cap):
+    from ascdesc import convergence, tower
+
+    def refuse(*args):
+        raise AssertionError("a sample was realized")
+
+    monkeypatch.setattr(tower.OperatorSpec, "realize", refuse)
+    monkeypatch.setattr(convergence, "_sample_matrices", refuse)
+    cap = convergence.MAX_SAMPLES
+    path = write(tmp_path, "seq.json", {**sequence, "n_range": [2, 1 + cap + past_cap, 1]})
+    if not past_cap:  # at the cap the sequence is accepted and realization begins
+        with pytest.raises(AssertionError, match="a sample was realized"):
+            run_main(["converge", path])
+        return
+    code, out, err = run_main(["converge", path])
+    assert code == 2 and not out, err
+    assert err.splitlines() == [
+        f"error: n_range samples {cap + 1} indices, more than the cap of {cap}"
+    ], err
+
+
 @pytest.mark.parametrize("candidates", [",", " ", "0,,2", "0,", ",0", "0, ,2"])
 def test_candidates_must_not_have_empty_parts(tmp_path, candidates):
     argv = ["spectrum", write(tmp_path, "s.json", SHIFT), "--tower", "--window", "8,4,3"]

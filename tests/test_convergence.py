@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ascdesc.convergence import (
+    MAX_SAMPLES,
     Perturbation,
     SequenceSpec,
     _tower_members,
@@ -262,6 +263,17 @@ def test_tower_members_rejects_what_cannot_stay_exact():
     long_pre = BandedSpec.from_dict({0: EventuallyPeriodic(pre=(GQ(1),) * 5)})
     with pytest.raises(ValueError, match="truncation 2 below the minimum 5"):
         _tower_members(SequenceSpec(long_pre, Perturbation(1, I2), (1, 3, 1)), (2, 6))
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+def test_sequence_spec_caps_the_sample_count(stride):
+    # only the specs are built: no sample is realized
+    start = 3
+    at_cap = (start, start + stride * (MAX_SAMPLES - 1), stride)
+    assert len(SequenceSpec(J2, Perturbation(1.0, I2), at_cap).samples()) == MAX_SAMPLES
+    past_cap = (start, at_cap[1] + stride, stride)
+    with pytest.raises(ValueError, match=f"samples {MAX_SAMPLES + 1} indices, more than the cap"):
+        SequenceSpec(J2, Perturbation(1.0, I2), past_cap)
 
 
 def test_sequence_spec_validation():

@@ -17,6 +17,7 @@ from ascdesc.exact import (
     integer_span,
     invert,
     is_direct_sum,
+    is_invertible,
     kernel_basis,
     left_kernel_chain,
     matrix_from_obj,
@@ -82,6 +83,22 @@ def test_rref_idempotent(rows, cols, seed):
 def test_rank_matches_bareiss_oracle(rows, cols, seed):
     m = gq_matrix(rows, cols, seed)
     assert len(rref(m)[1]) == oracle_rank(m)
+
+
+@given(small_dims, seeds, st.sampled_from(["as drawn", "zero row", "zero column", "repeated row"]))
+@settings(max_examples=80, deadline=None)
+def test_is_invertible_matches_bareiss_oracle(d, seed, damage):
+    rows = [list(row) for row in gq_matrix(d, d, seed).to_lists()]
+    i, j = seed % d, (seed // d) % d
+    if damage == "zero row":
+        rows[i] = [GQ(0)] * d
+    elif damage == "zero column":
+        for row in rows:
+            row[j] = GQ(0)
+    elif damage == "repeated row" and i != j:
+        rows[i] = rows[j]
+    m = Matrix.from_rows(rows)
+    assert is_invertible(m) == (oracle_rank(m) == d)
 
 
 # --- the elimination kernel against the oracle --------------------------
@@ -392,6 +409,17 @@ def test_power_and_power_chain_share_one_chain():
     assert (info.misses, info.currsize) == (2, 2)  # N(A^k) reads the chain of A^T
     with pytest.raises(ValueError):
         power_rank(Matrix.zeros(2, 3), 1)
+    with pytest.raises(ValueError):
+        power_rank(a, -1)
+
+
+def test_power_rank_at_zero_builds_no_chain():
+    a = gq_matrix(4, 4, 11)
+    left_kernel_chain.cache_clear()
+    assert power_rank(a, 0) == 4
+    assert left_kernel_chain.cache_info().misses == 0
+    with pytest.raises(ValueError):
+        power_rank(Matrix.zeros(2, 3), 0)
     with pytest.raises(ValueError):
         power_rank(a, -1)
 

@@ -516,15 +516,16 @@ def test_tower_f_tilde_falls_back_to_a_commuting_factor(theorem):
 
 def _plant_divergence(monkeypatch, planted_sections, point):
     """Make every quantity of the given sections read divergent at point."""
-    profile = theorems.window_profile
+    reports_of = theorems.section_reports
 
     def planted(sections, lam):
-        out = profile(sections, lam)
+        out = reports_of(sections, lam)
         if lam == point and sections == planted_sections:
-            out = {q: replace(v, kind="divergent", value=None) for q, v in out.items()}
+            # strictly increasing over the window, so each quantity is divergent
+            out = {n: replace(rep, asc=n, dsc=n, alpha=n, beta=n) for n, rep in out.items()}
         return out
 
-    monkeypatch.setattr(theorems, "window_profile", planted)
+    monkeypatch.setattr(theorems, "section_reports", planted)
 
 
 @pytest.mark.parametrize("theorem", ["monn", "th1", "nov"])

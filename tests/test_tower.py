@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ascdesc.chains import chain_report
-from ascdesc.exact import Matrix
+from ascdesc.exact import Matrix, left_kernel_chain
 from ascdesc.gq import GQ, parse_scalar
 from ascdesc.tower import (
     MAX_SECTION,
@@ -15,9 +15,11 @@ from ascdesc.tower import (
     SumSpec,
     TowerConfig,
     backward_shift,
+    classify_reports,
     forward_shift,
     identity_tail,
     is_power_finite_rank,
+    section_reports,
     spec_from_obj,
     tower_spectrum,
     window_profile,
@@ -154,6 +156,73 @@ def test_chain_report_matches_oracle_on_tower_sections(spec, lam):
 
 def test_chain_report_matches_oracle_zero_dimensional():
     _assert_chain_matches_oracle(Matrix.zeros(0, 0))
+
+
+# u1 v1^T + u2 v2^T with v1 . u2 = 0: its nonzero eigenvalues are
+# v1 . u1 = 2 + i/2 and v2 . u2 = i/3
+FINITE_RANK = FiniteRankSpec((
+    ((GQ(1), parse_scalar("1/2")), (GQ(2), GQ(0, 1))),
+    ((GQ(0), GQ(0), GQ(0, 1)), (GQ(1), GQ(0), parse_scalar("1/3"))),
+))
+ON_SPECTRA = (GQ(0), LAM, parse_scalar("2+1/2i"), parse_scalar("1/3i"))
+OFF_SPECTRA = (GQ(3), parse_scalar("1/2+i"), GQ(-2, -1))
+DECIDED_SPECS = {
+    "B": backward_shift(),
+    "S": forward_shift(),
+    "B+S": SumSpec((backward_shift(), forward_shift())),
+    "weighted": WEIGHTED,
+    "finite_rank": FINITE_RANK,
+    "sum": SHIFT_PLUS_RANK_ONE,
+    "direct_sum": JORDAN_PLUS_FORWARD,
+}
+
+
+def test_regular_points_are_decided_by_rank():
+    # every section's report equals the chain report of its shift, whether
+    # the shift is invertible (decided by rank) or singular (by its chain)
+    nullities = set()
+    for spec in DECIDED_SPECS.values():
+        sections = window_sections(spec, TowerConfig(5, 3, 3))
+        for lam in ON_SPECTRA + OFF_SPECTRA:
+            expected = {n: chain_report(a.shifted(lam)) for n, a in sections.items()}
+            assert section_reports(sections, lam) == expected, (spec, lam)
+            assert window_profile(sections, lam) == classify_reports(expected)
+            for n, a in sections.items():
+                t = a.shifted(lam)
+                zero_line = not all(t.int_rows) or len(set().union(*t.int_rows)) < n
+                nullities.add((expected[n].alpha, zero_line))
+    # both sides of the rank test occur, and shifts of rank N - 1 without a
+    # zero row or column (B + S at 0 for odd N, the finite-rank eigenvalues)
+    assert {(0, False), (1, False), (1, True)} <= nullities
+
+
+@pytest.mark.parametrize("name", ["B", "B+S", "direct_sum"])
+def test_a_window_of_regular_points_builds_no_chain(name):
+    sections = window_sections(DECIDED_SPECS[name], TowerConfig(5, 4, 3))
+    left_kernel_chain.cache_clear()
+    for lam in OFF_SPECTRA:
+        assert window_profile(sections, lam)["asc"].label == 0
+    assert left_kernel_chain.cache_info().misses == 0
+    window_profile(sections, 0)  # singular on every section here
+    assert left_kernel_chain.cache_info().misses == len(sections)
+
+
+def test_finite_rank_realize_is_the_sum_of_outer_products():
+    spec = FiniteRankSpec((
+        *FINITE_RANK.terms,
+        ((GQ(0), parse_scalar("-3/4+2/5i"), GQ(1, -1), parse_scalar("1/6")),
+         (parse_scalar("5/3"), parse_scalar("-1/2i"))),
+        ((GQ(-1),), (GQ(2),)),  # cancels entry (0, 0) of the first term
+    ))
+    for n in range(spec.min_truncation(), spec.min_truncation() + 4):
+        expected = [[GQ(0)] * n for _ in range(n)]
+        for left, right in spec.terms:
+            for i, u in enumerate(left):
+                for j, v in enumerate(right):
+                    expected[i][j] = expected[i][j] + u * v
+        assert spec.realize(n).to_lists() == expected
+        assert spec.realize(n) == Matrix.from_rows(expected)
+    assert not spec.realize(4).int_rows[0].get(0)
 
 
 def test_tower_verdict_divergent_backward_asc():
