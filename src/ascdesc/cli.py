@@ -39,6 +39,11 @@ EXIT_USAGE = 2
 EXIT_FAIL = 3
 EXIT_INCONCLUSIVE = 4
 
+# Most trials one verify batch may ask for.  Every verdict is held until
+# the report is written, so the cap bounds the time and memory of one
+# call; the largest batch in the README has 100 trials.
+MAX_TRIALS = 10_000
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -187,6 +192,8 @@ def _cmd_verify(args, argv) -> int:
         raise ValueError("verify reports are JSON only")
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
+    if args.trials > MAX_TRIALS:
+        raise ValueError(f"--trials {args.trials} is more than the cap of {MAX_TRIALS}")
     verdicts = run_batch(args.theorem, args.seed, args.trials)
     summary = batch_summary(verdicts)
     report = {

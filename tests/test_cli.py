@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from ascdesc.cli import main
 from ascdesc.convergence import PROBE_IDS
+from ascdesc.theorems import THEOREM_IDS
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -478,6 +479,25 @@ def test_n_range_past_the_sample_cap_exits_2(tmp_path, monkeypatch, sequence, pa
     ], err
 
 
+@pytest.mark.parametrize("past_cap", [0, 1])
+def test_trials_past_the_cap_exit_2(monkeypatch, past_cap):
+    from ascdesc import cli
+
+    def refuse(theorem, seed, trials):
+        raise AssertionError(f"a batch of {trials} was run")
+
+    monkeypatch.setattr(cli, "run_batch", refuse)
+    cap = cli.MAX_TRIALS
+    argv = ["verify", "--theorem", "th1", "--trials", str(cap + past_cap)]
+    if not past_cap:  # at the cap the batch is accepted and begins
+        with pytest.raises(AssertionError, match=f"a batch of {cap} was run"):
+            run_main(argv)
+        return
+    code, out, err = run_main(argv)
+    assert code == 2 and not out, err
+    assert err.splitlines() == [f"error: --trials {cap + 1} is more than the cap of {cap}"], err
+
+
 @pytest.mark.parametrize("candidates", [",", " ", "0,,2", "0,", ",0", "0, ,2"])
 def test_candidates_must_not_have_empty_parts(tmp_path, candidates):
     argv = ["spectrum", write(tmp_path, "s.json", SHIFT), "--tower", "--window", "8,4,3"]
@@ -728,6 +748,11 @@ def _probe(o):
     return ["converge", "{0}", "--probe", o["probe"], "--lambda", "0"], files
 
 
+def _verify(o):
+    return ["verify", "--theorem", o["theorem"], "--seed", str(o["seed"]),
+            "--trials", str(o["trials"]), "--format", o["format"]], []
+
+
 def _gap_extreme(o):
     return ["gap", "{0}", "{1}"], [
         {"rows": len(grid), "cols": len(grid[0]), "field": "f64", "entries": grid}
@@ -759,6 +784,12 @@ HOSTILE_CASES = {
                                 _overrides(("seed", "exponent", "n_range")), st.sampled_from(PROBE_IDS))),
     "tower": (_tower, _overrides(("pre", "period", "diagonals"))),
     "tolerance": (_tolerance, st.fixed_dictionaries({"rank": TOLERANCE_TEXT, "conv": TOLERANCE_TEXT})),
+    "verify": (_verify, st.fixed_dictionaries({
+        "theorem": st.sampled_from(THEOREM_IDS),
+        "seed": st.sampled_from([0, -1, 10**30, -(10**30)]) | st.integers(-5, 5),
+        "trials": st.integers(-2, 3),
+        "format": st.sampled_from(["json", "csv"]),
+    })),
 }
 
 
@@ -778,7 +809,8 @@ def test_hostile_input_exits_0_or_2_with_one_error_line(verb, data):
         argv = [a.format(*paths) for a in argv]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-    assert code in (0, 2), err.getvalue()
+    # a verify batch may also report a fail (3) or only inconclusive verdicts (4)
+    assert code in ((0, 2, 3, 4) if verb == "verify" else (0, 2)), err.getvalue()
     if code == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()

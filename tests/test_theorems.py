@@ -273,6 +273,56 @@ def test_app_blocks_documented_example():
     assert verdict.witness["eigenvalues"] == ["0", "1"]
 
 
+def _pair_instance(theorem, s, t):
+    return {
+        "theorem": theorem,
+        "seed": None,
+        "matrices": {"S": matrix_to_obj(s), "T": matrix_to_obj(t)},
+    }
+
+
+@pytest.mark.parametrize("theorem", ["monn", "nov"])
+def test_finite_dim_statements_gate_on_commutation(theorem):
+    # J2 J2^T = diag(1, 0) but J2^T J2 = diag(0, 1)
+    verdict = verify(theorem, _pair_instance(theorem, J2, J2.transpose()))
+    assert verdict.verdict == "inconclusive"
+    assert verdict.note == "operators do not commute"
+    assert list(verdict.witness) == ["hypotheses"]
+    assert verdict.witness["hypotheses"]["commute"] is False
+    # a commuting pair passes, though H1 fails for it
+    assert verify(theorem, _pair_instance(theorem, J2, J2)).verdict == "pass"
+
+
+def test_th1_gates_on_kernel_splitting():
+    # J2 commutes with itself, and N(J2) ∩ N(J2) = N(J2) is not {0}
+    verdict = verify("th1", _pair_instance("th1", J2, J2))
+    assert verdict.verdict == "inconclusive"
+    assert verdict.note == "kernel-splitting hypothesis not met"
+    hyp = verdict.witness["hypotheses"]
+    assert hyp["commute"] is True and hyp["h1"] is False and hyp["h1_failing_p"] == 1
+
+
+@pytest.mark.parametrize("theorem", ["monn", "th1", "nov"])
+def test_finite_dim_statements_pass_with_the_note(theorem):
+    verdict = verify(theorem, _pair_instance(theorem, S_BLOCK, T_BLOCK))
+    assert verdict.verdict == "pass"
+    assert verdict.note.startswith("decided by finite dimension")
+    assert verdict.witness == {"hypotheses": check_hypotheses(S_BLOCK, T_BLOCK).to_obj()}
+
+
+@pytest.mark.parametrize("theorem", ["monn", "th1", "nov"])
+def test_finite_dim_statements_compute_no_spectra(monkeypatch, theorem):
+    # finite dimension decides the exception sets, so no eigenvalue or
+    # membership test runs and the witness holds the hypotheses alone
+    def refuse(*args):
+        raise AssertionError("computed what finite dimension decides")
+
+    for name in ("eigenvalues_exact", "in_R_set", "in_N_set"):
+        monkeypatch.setattr(theorems, name, refuse)
+    verdicts = run_batch(theorem, 0, 15)
+    assert [list(v.witness) for v in verdicts] == [["hypotheses"]] * 15
+
+
 def test_verify_unknown_theorem():
     with pytest.raises(ValueError):
         verify("nope", {"matrices": {}})
@@ -301,11 +351,11 @@ def test_small_batches_have_no_failures(theorem):
 # any verdict, witness or note shows here
 BATCH_SHA256 = {
     "prop11": "481114911110e88638650500a07b2705a1d2b28565a740ab8fd05e361d66e6d5",
-    "th1": "79bbb4a044e4f6e27207ee80cf76561a1b34e2cbac4c824d9be542a1209def6c",
+    "th1": "f05b316a8390621f27bbd235c9429ac57c6a1d143f0cc4eed04c6e10bbf62e43",
     "theo34": "bb657322af205086e0152cd3a162bdc26405a27875da091bfb398b9478d054dc",
-    "monn": "38414a32804139013cd60da8b29eb86ddb02e560fa7435a510448421d02d4ed6",
+    "monn": "11449fcd14a38acbbfa437e1d4f34ace882dc5325ed60d5bd063bfa30e078172",
     "thC": "0a0ef6a8eb2179772b27825c2b9594dc4309620b295eff0d8697ad8978fa8dc1",
-    "nov": "97e97ec6c1c2e5ca1fab0d2277c441882af38858ba73ae897d7ab32827b1e586",
+    "nov": "01ee7d6ec9924e4fed0bef05dea0ea265f5a9bb98549f60efc3bdf9e254bc6d7",
     "lemma41": "15df0ab44d65ce5b35a9d626e1b551070806edecccd8a00eaca953ae5fcf2332",
     "lemma_ca": "8039ae9c15411080714178ab4121d3027bf7332b81b5e2c46091d584577d5212",
     "lemma35": "1052862ca9913065e743c4b0e8fb3eaf2ca0a10c96c5ca0fc82ee8bb0b9c7fd1",
